@@ -3,7 +3,7 @@
 PR 3's event-driven pool batched leaf evaluations across workers, but every
 batch still serialized through a single model replica's ``free_us`` horizon —
 the virtual-time model's picture of one inference GPU saturating.  The
-sharded :class:`~repro.minigo.inference.InferenceService` fans batches out
+sharded :class:`~repro.rollout.inference.InferenceService` fans batches out
 across ``num_replicas`` replicas (each pinned to its own device/system)
 under a pluggable routing policy, and the replica-aware
 :class:`~repro.minigo.workers.PoolScheduler` serves full batches eagerly so
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..hw.costmodel import CostModelConfig
-from ..minigo.inference import FLUSH_TIMEOUT, ROUTING_ROUND_ROBIN
 from ..minigo.workers import SCHEDULER_EVENT, SelfPlayPool
+from ..rollout.inference import FLUSH_TIMEOUT, ROUTING_ROUND_ROBIN
 
 #: The grid the paper-style report covers.
 DEFAULT_REPLICA_COUNTS = (1, 2, 4)

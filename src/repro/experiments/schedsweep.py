@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..minigo.inference import FLUSH_MAX_BATCH, ROUTING_ROUND_ROBIN
 from ..minigo.workers import SCHEDULER_EVENT, SCHEDULER_SEQUENTIAL, SelfPlayPool
+from ..rollout.inference import FLUSH_MAX_BATCH, ROUTING_ROUND_ROBIN
 
 #: The sweep the paper-style report covers.
 DEFAULT_SCHED_LEAF_BATCHES = (1, 4, 8)

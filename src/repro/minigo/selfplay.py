@@ -30,9 +30,9 @@ from ..backend.layers import MLP, Module
 from ..backend.tensor import Parameter, Tensor
 from ..profiler.api import Profiler
 from ..rollout.driver import StepwiseDriver
+from ..rollout.inference import InferenceClient, InferenceService, InferenceTicket
 from ..sim.go import GoPosition
 from ..system import System
-from .inference import InferenceClient, InferenceService, InferenceTicket
 from .mcts import MCTS, LeafEvalRequest, SearchCursor
 
 OP_TREE_SEARCH = "mcts_tree_search"
@@ -113,7 +113,7 @@ class SelfPlayWorker:
         emit_state_keys: bool = False,
     ) -> None:
         """With ``inference`` set, leaf evaluation goes through the shared
-        batched :class:`~repro.minigo.inference.InferenceService` (one model
+        batched :class:`~repro.rollout.inference.InferenceService` (one model
         replica for every worker) instead of a private compiled evaluator;
         ``leaf_batch`` controls how many in-flight leaves each MCTS wave
         collects per batched call (1 reproduces the legacy per-leaf search

@@ -31,10 +31,10 @@ from ..hw.nvidia_smi import UtilizationReport, sample_utilization
 from ..profiler.api import Profiler, ProfilerConfig
 from ..profiler.events import EventTrace
 from ..rollout.driver import StepwiseDriver
+from ..rollout.inference import InferenceService, InferenceStats, InferenceTicket
 from ..rollout.scheduler import PoolScheduler
 from ..sim.go import GoPosition
 from ..system import System
-from .inference import InferenceService, InferenceStats, InferenceTicket
 from .mcts import MCTS, LeafEvalRequest, SearchCursor
 from .selfplay import (
     _NULL_OPERATION,

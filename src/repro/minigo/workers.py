@@ -15,47 +15,37 @@ Two schedulers simulate the parallel collection phase:
   single worker's wave, so cross-worker batching never materializes.
 * ``event``: a :class:`PoolScheduler` interleaves all workers' stepwise
   :class:`~repro.minigo.selfplay.GameDriver`s in virtual-time order and
-  serves the shared :class:`~repro.minigo.inference.InferenceService` once
+  serves the shared :class:`~repro.rollout.inference.InferenceService` once
   every runnable worker is blocked at an inference boundary — so one engine
   call batches leaves from many workers at the same virtual instant, the way
   a real inference server batches across client processes.  With several
   model replicas (``num_replicas > 1``) the scheduler additionally serves
   *full* batches eagerly, so free replicas start in-flight batches while the
   remaining workers keep running.
+
+The event path, the multiprocess path and the trace store come from the
+shared :class:`~repro.rollout.pool.DriverPool`; this module adds the Go
+worker stack and the sequential scheduler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
-    from ..tracedb.store import TraceDB
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tracedb.writer import StreamingTraceWriter
-    from .inference import InferenceService
 
-from ..backend.graph import GraphEngine
-from ..backend.layers import hard_update
 from ..hw.costmodel import CostModelConfig
-from ..hw.gpu import GPUDevice
-from ..profiler.api import Profiler, ProfilerConfig
-from ..profiler.events import EventTrace
+from ..profiler.api import Profiler
+from ..rollout.inference import FLUSH_MAX_BATCH, ROUTING_ROUND_ROBIN, RoutingPolicy
+from ..rollout.pool import DriverPool, PoolWorker, WorkerRun
 # The event-driven PoolScheduler and its stats live in the env-agnostic
 # rollout core since the stepwise-driver refactor; re-exported here (and in
 # repro.minigo) so existing imports keep working.
 from ..rollout.scheduler import PoolScheduler, SchedulerStats  # noqa: F401
-from ..system import System
-from .inference import (
-    FLUSH_MAX_BATCH,
-    FLUSH_POLICIES,
-    FLUSH_TIMEOUT,
-    ROUTING_POLICIES,
-    ROUTING_ROUND_ROBIN,
-    RoutingPolicy,
-)
-from .selfplay import GameDriver, PolicyValueNet, SelfPlayResult, SelfPlayWorker
+from .selfplay import GameDriver, PolicyValueNet, SelfPlayWorker
 
 #: Scheduler modes understood by :class:`SelfPlayPool`.
 SCHEDULER_SEQUENTIAL = "sequential"
@@ -63,29 +53,15 @@ SCHEDULER_EVENT = "event"
 SCHEDULERS = (SCHEDULER_SEQUENTIAL, SCHEDULER_EVENT)
 
 
-@dataclass
-class WorkerRun:
-    """Output of one worker in the pool.
-
-    ``trace`` is ``None`` when profiling is off or when the pool streams
-    traces into a shared store (query them via :meth:`SelfPlayPool.tracedb`);
-    ``system`` is ``None`` for runs reconstructed without a live system.
-    """
-
-    worker: str
-    result: SelfPlayResult
-    trace: Optional[EventTrace]
-    total_time_us: float
-    system: Optional[System] = field(repr=False, default=None)
-
-
-class SelfPlayPool:
+class SelfPlayPool(DriverPool):
     """Pool of self-play workers that share one GPU device.
 
     Workers are simulated sequentially but on independent virtual timelines
     starting at zero, which is equivalent to running them in parallel on a
     machine with enough CPU cores (the paper uses one worker per core).
     """
+
+    worker_prefix = "selfplay_worker"
 
     def __init__(
         self,
@@ -118,10 +94,10 @@ class SelfPlayPool:
         cache_scope: str = "shared",
     ) -> None:
         """With ``batched_inference=True`` the pool creates one shared
-        :class:`~repro.minigo.inference.InferenceService` holding
+        :class:`~repro.rollout.inference.InferenceService` holding
         ``num_replicas`` model replicas behind the ``routing`` policy
         (``round-robin``, ``least-loaded``, ``sticky``, or a
-        :class:`~repro.minigo.inference.RoutingPolicy` instance); replica 0
+        :class:`~repro.rollout.inference.RoutingPolicy` instance); replica 0
         shares the pool's primary GPU, further replicas each model an
         additional inference GPU.  Every worker's MCTS collects up to
         ``leaf_batch`` in-flight leaves per wave for batched evaluation
@@ -154,292 +130,106 @@ class SelfPlayPool:
         makes every wave submission carry Zobrist position keys, with
         ``cache_scope`` choosing one service-wide cache or one per replica.
         Both default off, preserving today's runs bit-for-bit."""
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if num_replicas <= 0:
-            raise ValueError("num_replicas must be positive")
-        if num_replicas > 1 and not batched_inference:
-            raise ValueError("num_replicas > 1 requires batched_inference=True "
-                             "(there is no inference service to shard otherwise)")
-        if isinstance(routing, str) and routing not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing policy {routing!r}; "
-                             f"expected one of {ROUTING_POLICIES}")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
-        if scheduler == SCHEDULER_EVENT:
-            if not batched_inference:
-                raise ValueError("the event-driven scheduler requires batched_inference=True "
-                                 "(workers must block on a shared InferenceService)")
-            if flush_policy not in FLUSH_POLICIES:
-                raise ValueError(f"unknown flush policy {flush_policy!r}; "
-                                 f"expected one of {FLUSH_POLICIES}")
-            if flush_policy == FLUSH_TIMEOUT and (flush_timeout_us is None or flush_timeout_us < 0):
-                raise ValueError("the timeout flush policy requires a non-negative flush_timeout_us")
-        from ..rollout.evalcache import CACHE_SCOPES
-        if cache_scope not in CACHE_SCOPES:
-            raise ValueError(f"unknown cache scope {cache_scope!r}; "
-                             f"expected one of {CACHE_SCOPES}")
-        if cache_capacity is not None and not batched_inference:
-            raise ValueError("cache_capacity requires batched_inference=True "
-                             "(the evaluation cache lives in the shared service)")
-        if num_processes is not None:
-            from ..parallel.runner import BACKENDS
-            if num_processes <= 0:
-                raise ValueError("num_processes must be positive")
-            if cache_capacity is not None:
-                raise ValueError(
-                    "num_processes cannot be combined with the service evaluation "
-                    "cache: shards replay engine calls from their own pre-run "
-                    "timelines, so parent-side cache hits would desynchronize the "
-                    "shard replicas; run the cache single-process")
-            if scheduler != SCHEDULER_EVENT:
-                raise ValueError("num_processes requires the event scheduler "
-                                 "(shards are merged at serve boundaries)")
-            if store is not None:
-                raise ValueError("num_processes cannot share a live store object "
-                                 "across processes; pass trace_dir instead")
-            if process_backend not in BACKENDS:
-                raise ValueError(f"unknown process backend {process_backend!r}; "
-                                 f"expected one of {BACKENDS}")
-        self.num_workers = num_workers
         self.board_size = board_size
         self.num_simulations = num_simulations
         self.games_per_worker = games_per_worker
         self.max_moves = max_moves
         self.hidden = hidden
-        self.profile = profile
-        self.cost_config = cost_config
-        self.seed = seed
         self.batched_inference = batched_inference
         self.leaf_batch = leaf_batch
-        self.inference_max_batch = inference_max_batch
-        self.num_replicas = num_replicas
-        self.routing = routing
         self.scheduler = scheduler
-        self.flush_policy = flush_policy
-        self.flush_timeout_us = flush_timeout_us
-        self.num_processes = num_processes
-        self.process_backend = process_backend
-        #: optional :class:`~repro.faults.plan.FaultPlan` for the multiprocess
-        #: tier (shard crashes -> respawn + journal replay).  Excluded from
-        #: :meth:`_child_config`: the parent injects faults, respawned shards
-        #: must never re-inject them.
-        self.fault_plan = fault_plan
         self.transposition = transposition
-        self.cache_capacity = cache_capacity
-        self.cache_scope = cache_scope
-        self.trace_dir = trace_dir
-        self.chunk_events = chunk_events
-        self.inference_service: Optional["InferenceService"] = None
-        self.pool_scheduler: Optional[PoolScheduler] = None
-        #: the shared accelerator all workers contend for
-        self.device = GPUDevice()
-        self.runs: List[WorkerRun] = []
-        # Streaming trace store: every worker writes its own shard into one
-        # store (either a shared writer passed in, or one owned by the pool).
-        self._store = store
-        self._owns_store = False
-        self._streamed = False
-        if self._store is None and trace_dir is not None:
-            from ..tracedb.writer import StreamingTraceWriter
-            self._store = StreamingTraceWriter(trace_dir, chunk_events=chunk_events)
-            self._owns_store = True
+        super().__init__(
+            num_workers, profile=profile, cost_config=cost_config, seed=seed,
+            trace_dir=trace_dir, store=store, chunk_events=chunk_events,
+            inference_max_batch=inference_max_batch, num_replicas=num_replicas,
+            routing=routing, flush_policy=flush_policy, flush_timeout_us=flush_timeout_us,
+            num_processes=num_processes, process_backend=process_backend,
+            fault_plan=fault_plan, cache_capacity=cache_capacity, cache_scope=cache_scope)
 
-    @property
-    def streaming(self) -> bool:
-        return self._store is not None
-
-    @property
-    def store(self) -> Optional["StreamingTraceWriter"]:
-        return self._store
-
-    def tracedb(self) -> "TraceDB":
-        """Open the streamed trace store for querying/map-reduce analysis."""
-        if self._store is None:
-            raise ValueError("pool was not created with trace_dir/store; no trace store to open")
-        from ..tracedb.store import TraceDB
-        return TraceDB(str(self._store.directory))
+    def _validate(self) -> None:
+        super()._validate()
+        if self.num_replicas > 1 and not self.batched_inference:
+            raise ValueError("num_replicas > 1 requires batched_inference=True "
+                             "(there is no inference service to shard otherwise)")
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(f"unknown scheduler {self.scheduler!r}; "
+                             f"expected one of {SCHEDULERS}")
+        if self.scheduler == SCHEDULER_EVENT and not self.batched_inference:
+            raise ValueError("the event-driven scheduler requires batched_inference=True "
+                             "(workers must block on a shared InferenceService)")
+        if self.cache_capacity is not None and not self.batched_inference:
+            raise ValueError("cache_capacity requires batched_inference=True "
+                             "(the evaluation cache lives in the shared service)")
+        if self.num_processes is not None and self.scheduler != SCHEDULER_EVENT:
+            raise ValueError("num_processes requires the event scheduler "
+                             "(shards are merged at serve boundaries)")
 
     # ------------------------------------------------------------------ run
     def run(self, weights: Optional[List[np.ndarray]] = None) -> List[WorkerRun]:
         """Run every worker's self-play session; returns per-worker results."""
-        if self.streaming and self._streamed:
-            # A rerun restarts every worker clock at zero; appending it to the
-            # same shards would double-count time in store-derived summaries.
-            raise RuntimeError("this pool already streamed a run into its trace store; "
-                               "create a new pool (or trace_dir) for another run")
-        self.runs = []
-        self.inference_service = None
-        self.pool_scheduler = None
-        if self.num_processes is not None:
-            return self._run_parallel(weights)
-        if self.batched_inference:
-            self.inference_service = self._build_service()
-            if weights is not None:
-                # Initial model placement: load without charging broadcast
-                # time (clocks have not started).
-                self.inference_service.update_weights(weights, charge=False)
         if self.scheduler == SCHEDULER_EVENT:
-            # Build every worker first (same creation order as sequential, so
-            # all RNG streams are identical), then interleave their stepwise
-            # drivers on the shared virtual timeline.
-            workers = [self._make_worker(index, weights) for index in range(self.num_workers)]
-            drivers = [GameDriver(worker, self.games_per_worker) for worker, _ in workers]
-            self.pool_scheduler = PoolScheduler(
-                drivers, self.inference_service,
-                flush_policy=self.flush_policy, flush_timeout_us=self.flush_timeout_us)
-            self.pool_scheduler.run()
-            self.runs = [self._finish_worker(worker, profiler, driver.result)
-                         for (worker, profiler), driver in zip(workers, drivers)]
-        else:
-            for index in range(self.num_workers):
-                worker, profiler = self._make_worker(index, weights)
-                result = worker.play_games(self.games_per_worker)
-                self.runs.append(self._finish_worker(worker, profiler, result))
-        if self.streaming:
-            self._streamed = True
-            if self._owns_store:
-                self._store.close()
+            return super().run(weights)
+        # Sequential: each worker plays to completion on its own timeline,
+        # flushing the shared service (if any) at every inference boundary.
+        self._begin_run()
+        if self.batched_inference:
+            self._start_service(weights=weights)
+        for index in range(self.num_workers):
+            worker, profiler = self._make_worker(index, weights)
+            result = worker.play_games(self.games_per_worker)
+            self.runs.append(self._finish_run(worker.system, profiler, result))
+        self._end_run()
         return self.runs
 
-    def _build_service(self, service_factory=None) -> "InferenceService":
-        """Build the shared service: one logical model, ``num_replicas`` shards.
+    # ---------------------------------------------------------------- hooks
+    def _make_stacks(self, indices, weights) -> list:
+        # The service comes first: every worker connects to it on creation.
+        self._start_service(weights=weights)
+        return [self._make_worker(index, weights) for index in indices]
 
-        With the same init seed as the legacy per-worker networks the shared
-        model's weights are identical; replica 0 shares the pool's primary
-        GPU, further replicas each model an additional inference GPU.
-        ``service_factory`` substitutes the class (the multiprocess path
-        passes the parent-side mirror service).
-        """
+    def _make_driver(self, stack, index: int, blob: Optional[bytes] = None) -> PoolWorker:
+        worker, profiler = stack
+        if blob is not None:
+            driver = GameDriver.restore(worker, blob)
+        else:
+            driver = GameDriver(worker, self.games_per_worker)
+        return PoolWorker(driver, worker.system, worker._client, profiler)
+
+    def _service_model(self, probe):
+        """With the same init seed as the legacy per-worker networks the
+        shared model's weights are identical."""
         from ..rollout.seeding import network_seed
-        from .inference import InferenceService
 
-        factory = service_factory if service_factory is not None else InferenceService
-        shared_network = PolicyValueNet(self.board_size, self.hidden,
-                                        rng=np.random.default_rng(network_seed(self.seed)))
-        kwargs = {}
-        if self.cache_capacity is not None:
-            # Only passed when enabled, so the mirror-service factory (which
-            # predates the cache and rejects it at the pool level) keeps its
-            # original signature.
-            kwargs.update(cache_capacity=self.cache_capacity,
-                          cache_scope=self.cache_scope)
-        return factory(
-            shared_network,
-            max_batch=self.inference_max_batch,
-            num_replicas=self.num_replicas,
-            routing=self.routing,
-            primary_device=self.device,
-            cost_config=self.cost_config,
-            seed=self.seed,
-            **kwargs,
-        )
+        return PolicyValueNet(self.board_size, self.hidden,
+                              rng=np.random.default_rng(network_seed(self.seed))), None
 
-    def _child_config(self) -> dict:
-        """Constructor kwargs a shard process rebuilds this pool from."""
+    def _extra_child_config(self) -> dict:
         return dict(
-            num_workers=self.num_workers,
             board_size=self.board_size,
             num_simulations=self.num_simulations,
             games_per_worker=self.games_per_worker,
             max_moves=self.max_moves,
             hidden=self.hidden,
-            profile=self.profile,
-            cost_config=self.cost_config,
-            seed=self.seed,
-            trace_dir=self.trace_dir,
-            chunk_events=self.chunk_events,
             batched_inference=True,
             leaf_batch=self.leaf_batch,
-            inference_max_batch=self.inference_max_batch,
-            num_replicas=self.num_replicas,
-            routing=self.routing,
             scheduler=SCHEDULER_EVENT,
-            flush_policy=self.flush_policy,
-            flush_timeout_us=self.flush_timeout_us,
             transposition=self.transposition,
         )
-
-    def _run_parallel(self, weights: Optional[List[np.ndarray]]) -> List[WorkerRun]:
-        """Run the pool sharded over ``num_processes`` OS processes.
-
-        Shards build and advance the real worker stacks; the parent replays
-        their timelines through proxy drivers under the real scheduler and
-        the mirror service, so every scheduling/batching/routing decision —
-        and therefore every record and clock — matches the sequential event
-        loop bit-for-bit.
-        """
-        from functools import partial
-
-        from ..parallel.proxy import MirrorInferenceService, ProxyDriver
-        from ..parallel.runner import ParallelRunner, assign_workers
-        from ..parallel.shard import ShardSpec
-
-        config = self._child_config()
-        specs = [ShardSpec(kind="selfplay", pool_config=config,
-                           worker_indices=indices, weights=weights)
-                 for indices in assign_workers(self.num_workers, self.num_processes)]
-        runner = ParallelRunner(specs, backend=self.process_backend,
-                                fault_plan=self.fault_plan)
-        self.parallel_runner = runner
-        try:
-            service = self._build_service(
-                service_factory=partial(MirrorInferenceService, runner=runner))
-            if weights is not None:
-                service.update_weights(weights, charge=False)
-            self.inference_service = service
-            segments = runner.build()
-            proxies = [ProxyDriver(runner, index, f"selfplay_worker_{index}",
-                                   service, segments[index])
-                       for index in range(self.num_workers)]
-            runner.attach(proxies)
-            self.pool_scheduler = PoolScheduler(
-                proxies, service,
-                flush_policy=self.flush_policy, flush_timeout_us=self.flush_timeout_us)
-            self.pool_scheduler.run()
-            finals = runner.finalize()
-        finally:
-            runner.stop()
-        self.runs = [WorkerRun(worker=f"selfplay_worker_{index}",
-                               result=finals[index]["result"],
-                               trace=finals[index]["trace"],
-                               total_time_us=finals[index]["total_time_us"])
-                     for index in range(self.num_workers)]
-        if self.streaming:
-            self._streamed = True
-            if self._owns_store:
-                # The shards already merged their trace shards; closing the
-                # parent's (shard-less) writer just seals the store index.
-                self._store.close()
-        return self.runs
 
     def _make_worker(self, index: int, weights: Optional[List[np.ndarray]]
                      ) -> Tuple[SelfPlayWorker, Optional[Profiler]]:
         """Build one worker's system/engine/profiler stack (its "process")."""
-        from ..rollout.seeding import network_seed, system_seed, worker_seed
+        from ..rollout.seeding import worker_seed
 
-        worker_name = f"selfplay_worker_{index}"
-        system = System.create(
-            seed=system_seed(self.seed, index),
-            config=self.cost_config,
-            device=self.device,
-            worker=worker_name,
-        )
-        system.cuda.default_stream = index
-        engine = GraphEngine(system, flavor="tensorflow")
+        system, engine = self._worker_system(index)
         if self.inference_service is not None:
             network = self.inference_service.network
         else:
-            network = PolicyValueNet(self.board_size, self.hidden,
-                                     rng=np.random.default_rng(network_seed(self.seed)))
+            network, _ = self._service_model(None)
             if weights is not None:
                 network.load_state_dict(weights)
-
-        profiler: Optional[Profiler] = None
-        if self.profile:
-            profiler = Profiler(system, ProfilerConfig.full(), worker=worker_name,
-                                store=self._store)
-            profiler.attach(engine=engine)
+        profiler = self._worker_profiler(system, engine)
 
         worker = SelfPlayWorker(
             system, engine, network,
@@ -455,25 +245,9 @@ class SelfPlayPool:
         )
         return worker, profiler
 
-    def _finish_worker(self, worker: SelfPlayWorker, profiler: Optional[Profiler],
-                       result: SelfPlayResult) -> WorkerRun:
-        trace = profiler.finalize() if profiler is not None else None
-        if self.streaming:
-            # The trace lives in the store's shard; keep runs lightweight.
-            trace = None
-        return WorkerRun(worker=worker.system.worker, result=result, trace=trace,
-                         total_time_us=worker.system.clock.now_us, system=worker.system)
-
     # ------------------------------------------------------------- reporting
-    def traces(self) -> Dict[str, EventTrace]:
-        return {run.worker: run.trace for run in self.runs if run.trace is not None}
-
     def all_examples(self):
         examples = []
         for run in self.runs:
             examples.extend(run.result.examples)
         return examples
-
-    def collection_span_us(self) -> float:
-        """Wall-clock span of the parallel collection phase (slowest worker)."""
-        return max((run.total_time_us for run in self.runs), default=0.0)

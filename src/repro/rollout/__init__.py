@@ -44,7 +44,7 @@ from .inference import (
     StickyRouting,
     make_routing_policy,
 )
-from .pool import EnvRolloutPool, RolloutWorkerRun
+from .pool import DriverPool, EnvRolloutPool, WorkerRun
 from .scheduler import PoolScheduler, SchedulerStats
 
 __all__ = [
@@ -80,8 +80,9 @@ __all__ = [
     "RoutingPolicy",
     "StickyRouting",
     "make_routing_policy",
+    "DriverPool",
     "EnvRolloutPool",
-    "RolloutWorkerRun",
+    "WorkerRun",
     "PoolScheduler",
     "SchedulerStats",
 ]

@@ -1,22 +1,24 @@
-"""Worker pool running any registered simulator through the batched stack.
+"""Worker pools over the batched stack: the shared :class:`DriverPool` core.
 
-:class:`EnvRolloutPool` is the env-agnostic sibling of
-:class:`~repro.minigo.workers.SelfPlayPool`: ``num_workers`` independent
-"processes" (each with its own virtual clock, cost model, CUDA runtime and
-stream on one shared :class:`~repro.hw.gpu.GPUDevice`) each run one
-``repro.sim.registry`` environment behind a shared policy network, with
-every per-step policy evaluation routed through one batched/sharded
-:class:`~repro.rollout.inference.InferenceService` and the workers
-interleaved by the :class:`~repro.rollout.scheduler.PoolScheduler`.  One
-engine call serves the pending steps of many workers — the cross-worker
-batching the Minigo pool demonstrated, now available to every sim and
-algorithm in the zoo.
+:class:`DriverPool` is the machinery every worker pool shares: ``num_workers``
+independent "processes" (each with its own virtual clock, cost model, CUDA
+runtime and stream on one shared :class:`~repro.hw.gpu.GPUDevice`) whose
+stepwise drivers route every policy evaluation through one
+batched/sharded :class:`~repro.rollout.inference.InferenceService`, with
+the workers interleaved by the :class:`~repro.rollout.scheduler.PoolScheduler`
+— in-process, or sharded over real OS processes via :mod:`repro.parallel`.
+One engine call serves the pending steps of many workers.
+
+:class:`EnvRolloutPool` runs any ``repro.sim.registry`` environment behind
+a shared policy network on that core — the cross-worker batching the
+Minigo pool (:class:`~repro.minigo.workers.SelfPlayPool`) demonstrated,
+available to every sim and algorithm in the zoo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,17 +35,20 @@ from ..profiler.api import Profiler, ProfilerConfig
 from ..profiler.events import EventTrace
 from ..sim import registry
 from ..system import System
+from .driver import StepwiseDriver
 from .envdriver import (
     ActionPolicy,
     EnvRolloutDriver,
-    EnvRolloutResult,
     GaussianNoisePolicy,
     SampledDiscretePolicy,
 )
+from .evalcache import CACHE_SCOPES
 from .inference import (
+    EVALUATE_FUNCTION_NAME,
     FLUSH_MAX_BATCH,
     FLUSH_POLICIES,
     FLUSH_TIMEOUT,
+    ROUTING_POLICIES,
     ROUTING_ROUND_ROBIN,
     InferenceService,
 )
@@ -94,18 +99,372 @@ def continuous_actor_forward(network, features: np.ndarray) -> Tuple[np.ndarray,
 
 
 @dataclass
-class RolloutWorkerRun:
-    """Output of one zoo worker (mirrors the Minigo pool's ``WorkerRun``)."""
+class WorkerRun:
+    """Output of one worker in a pool.
+
+    ``trace`` is ``None`` when profiling is off or when the pool streams
+    traces into a shared store (query them via :meth:`DriverPool.tracedb`);
+    ``system`` is ``None`` for runs a shard process sent back.
+    """
 
     worker: str
-    result: EnvRolloutResult
+    result: object
     trace: Optional[EventTrace]
     total_time_us: float
     system: Optional[System] = field(repr=False, default=None)
 
 
-class EnvRolloutPool:
+class PoolWorker(NamedTuple):
+    """One built worker: its driver and the parts the pool reads back."""
+
+    driver: StepwiseDriver
+    system: System
+    client: object  #: the worker's InferenceClient (hosts its batches)
+    profiler: Optional[Profiler]
+
+
+class DriverPool:
+    """Pool of stepwise-driver workers sharing one GPU and one inference service.
+
+    Owns what every pool shares: validation, the device and trace-store
+    lifecycle, the shared service, the in-process event loop and the
+    multiprocess path.  Subclasses supply the hooks:
+
+    * :meth:`_make_stacks` builds the workers' stacks and starts the shared
+      service (each pool keeps its own construction order);
+    * :meth:`_make_driver` wraps one stack in a fresh or snapshot-restored
+      driver;
+    * :meth:`_service_model` and :attr:`function_name` pick the served
+      network, forward and compiled-function name;
+    * :meth:`_extra_child_config` lists the pool's own constructor kwargs a
+      shard process rebuilds it from;
+    * :meth:`_validate`, extended, checks the pool's own options too.
+
+    Subclasses set their own attributes before calling ``__init__``, which
+    validates before it creates the device and the trace store.
+    """
+
+    #: worker ``i`` is named ``f"{worker_prefix}_{i}"``
+    worker_prefix = "worker"
+    #: name of the shared service's compiled batched evaluator
+    function_name = EVALUATE_FUNCTION_NAME
+
+    def __init__(self, num_workers: int, *, profile: bool,
+                 cost_config: Optional[CostModelConfig], seed: int,
+                 trace_dir: Optional[str], store: Optional["StreamingTraceWriter"],
+                 chunk_events: int, inference_max_batch: Optional[int], num_replicas: int,
+                 routing, flush_policy: str, flush_timeout_us: Optional[float],
+                 num_processes: Optional[int], process_backend: str, fault_plan,
+                 cache_capacity: Optional[int], cache_scope: str) -> None:
+        self.num_workers = num_workers
+        self.profile = profile
+        self.cost_config = cost_config
+        self.seed = seed
+        self.trace_dir = trace_dir
+        self.chunk_events = chunk_events
+        self.num_replicas = num_replicas
+        self.routing = routing
+        self.flush_policy = flush_policy
+        self.flush_timeout_us = flush_timeout_us
+        self.num_processes = num_processes
+        self.process_backend = process_backend
+        #: optional :class:`~repro.faults.plan.FaultPlan` for the multiprocess
+        #: tier (shard crashes -> respawn + journal replay).  Excluded from
+        #: :meth:`_child_config`: the parent injects faults, respawned shards
+        #: must never re-inject them.
+        self.fault_plan = fault_plan
+        self.cache_capacity = cache_capacity
+        self.cache_scope = cache_scope
+        # Streaming trace store: every worker writes its own shard into one
+        # store (either a shared writer passed in, or one owned by the pool).
+        self._store = store
+        self._validate()
+        self.inference_max_batch = (inference_max_batch if inference_max_batch is not None
+                                    else max(1, num_workers // num_replicas))
+        #: the shared accelerator all workers contend for
+        self.device = GPUDevice()
+        self.inference_service: Optional[InferenceService] = None
+        self.pool_scheduler: Optional[PoolScheduler] = None
+        self.runs: List[WorkerRun] = []
+        self._owns_store = False
+        self._streamed = False
+        if store is None and trace_dir is not None:
+            from ..tracedb.writer import StreamingTraceWriter
+            self._store = StreamingTraceWriter(trace_dir, chunk_events=chunk_events)
+            self._owns_store = True
+
+    def _validate(self) -> None:
+        """Reject an invalid configuration: one message per invalid input.
+
+        Checks every option the pools share; a pool with options of its own
+        extends this (calling it first).
+        """
+        if self.num_workers <= 0:
+            raise ValueError("num_workers must be positive")
+        if self.num_replicas <= 0:
+            raise ValueError("num_replicas must be positive")
+        if isinstance(self.routing, str) and self.routing not in ROUTING_POLICIES:
+            raise ValueError(f"unknown routing policy {self.routing!r}; "
+                             f"expected one of {ROUTING_POLICIES}")
+        if self.flush_policy not in FLUSH_POLICIES:
+            raise ValueError(f"unknown flush policy {self.flush_policy!r}; "
+                             f"expected one of {FLUSH_POLICIES}")
+        if self.flush_policy == FLUSH_TIMEOUT and (self.flush_timeout_us is None
+                                                   or self.flush_timeout_us < 0):
+            raise ValueError("the timeout flush policy requires a non-negative flush_timeout_us")
+        if self.cache_scope not in CACHE_SCOPES:
+            raise ValueError(f"unknown cache scope {self.cache_scope!r}; "
+                             f"expected one of {CACHE_SCOPES}")
+        if self.num_processes is not None:
+            from ..parallel.runner import BACKENDS
+            if self.num_processes <= 0:
+                raise ValueError("num_processes must be positive")
+            if self.process_backend not in BACKENDS:
+                raise ValueError(f"unknown process backend {self.process_backend!r}; "
+                                 f"expected one of {BACKENDS}")
+            if self.cache_capacity is not None:
+                raise ValueError(
+                    "num_processes cannot be combined with the service evaluation "
+                    "cache: shards replay engine calls from their own pre-run "
+                    "timelines, so parent-side cache hits would desynchronize the "
+                    "shard replicas; run the cache single-process")
+            if self._store is not None:
+                raise ValueError("num_processes cannot share a live store object "
+                                 "across processes; pass trace_dir instead")
+        plan = self.fault_plan
+        if plan is not None and not plan.empty:
+            from ..faults.plan import SHARD_CRASH
+            if self.num_processes is None or self.process_backend != "process":
+                raise ValueError("a non-empty fault_plan requires num_processes with "
+                                 "process_backend='process': pools inject faults only "
+                                 "as shard-process crashes")
+            ignored = sorted({event.kind for event in plan.events} - {SHARD_CRASH})
+            if ignored:
+                raise ValueError(f"pools inject only {SHARD_CRASH!r} faults; "
+                                 f"fault_plan kinds {ignored} would be ignored")
+
+    @property
+    def streaming(self) -> bool:
+        return self._store is not None
+
+    @property
+    def store(self) -> Optional["StreamingTraceWriter"]:
+        return self._store
+
+    def tracedb(self) -> "TraceDB":
+        """Open the streamed trace store for querying/map-reduce analysis."""
+        if self._store is None:
+            raise ValueError("pool was not created with trace_dir/store; no trace store to open")
+        from ..tracedb.store import TraceDB
+        return TraceDB(str(self._store.directory))
+
+    # ---------------------------------------------------------------- hooks
+    def _make_stacks(self, indices, weights) -> list:
+        """Build the stacks of workers ``indices`` and start the shared service."""
+        raise NotImplementedError
+
+    def _make_driver(self, stack, index: int, blob: Optional[bytes] = None) -> PoolWorker:
+        """Wrap ``stack`` in a fresh driver, or the one snapshot ``blob`` restores."""
+        raise NotImplementedError
+
+    def _service_model(self, probe):
+        """``(network, forward)`` of the shared service; ``forward=None`` is
+        the service's default softmax head."""
+        raise NotImplementedError
+
+    def _extra_child_config(self) -> dict:
+        """The pool's own constructor kwargs a shard rebuilds it from."""
+        return {}
+
+    # ------------------------------------------------------------------ run
+    def run(self, weights: Optional[List[np.ndarray]] = None) -> List[WorkerRun]:
+        """Drive every worker to completion; returns per-worker runs.
+
+        ``weights`` are loaded into the shared model before any clock starts.
+        """
+        self._begin_run()
+        if self.num_processes is not None:
+            return self._run_parallel(weights)
+        workers = self._build_workers(range(self.num_workers), weights)
+        self.pool_scheduler = PoolScheduler(
+            [worker.driver for worker in workers], self.inference_service,
+            flush_policy=self.flush_policy, flush_timeout_us=self.flush_timeout_us)
+        self.pool_scheduler.run()
+        self.runs = [self._finish_run(worker.system, worker.profiler, worker.driver.result)
+                     for worker in workers]
+        self._end_run()
+        return self.runs
+
+    def _begin_run(self) -> None:
+        if self.streaming and self._streamed:
+            # A rerun restarts every worker clock at zero; appending it to the
+            # same shards would double-count time in store-derived summaries.
+            raise RuntimeError("this pool already streamed a run into its trace store; "
+                               "create a new pool (or trace_dir) for another run")
+        self.runs = []
+        self.inference_service = None
+        self.pool_scheduler = None
+
+    def _end_run(self) -> None:
+        if self.streaming:
+            self._streamed = True
+            if self._owns_store:
+                self._store.close()
+
+    def _build_workers(self, indices, weights=None,
+                       restore: Optional[Dict[int, bytes]] = None) -> List[PoolWorker]:
+        """Start the service and build workers ``indices`` with their drivers.
+
+        Drivers listed in ``restore`` (worker index -> snapshot blob) come
+        back from their snapshot instead of starting fresh.
+        """
+        restore = restore or {}
+        stacks = self._make_stacks(indices, weights)
+        return [self._make_driver(stack, index, restore.get(index))
+                for index, stack in zip(indices, stacks)]
+
+    def _start_service(self, probe=None, weights=None, service_factory=None) -> InferenceService:
+        """Build the shared service, load ``weights`` and adopt it."""
+        service = self._build_service(probe, service_factory)
+        if weights is not None:
+            # Initial model placement: load without charging broadcast time
+            # (clocks have not started).
+            service.update_weights(weights, charge=False)
+        self.inference_service = service
+        return service
+
+    def _build_service(self, probe=None, service_factory=None) -> InferenceService:
+        """Build the shared service: one logical model, ``num_replicas`` shards.
+
+        Replica 0 shares the pool's primary GPU, further replicas each model
+        an additional inference GPU.  ``probe`` is any worker's simulator,
+        for pools whose model shape depends on it.  ``service_factory``
+        substitutes the class (the multiprocess path passes the parent-side
+        mirror service).
+        """
+        network, forward = self._service_model(probe)
+        factory = service_factory if service_factory is not None else InferenceService
+        return factory(
+            network,
+            max_batch=self.inference_max_batch,
+            num_replicas=self.num_replicas,
+            routing=self.routing,
+            primary_device=self.device,
+            cost_config=self.cost_config,
+            seed=self.seed,
+            function_name=self.function_name,
+            forward=forward,
+            cache_capacity=self.cache_capacity,
+            cache_scope=self.cache_scope,
+        )
+
+    def _finish_run(self, system: System, profiler: Optional[Profiler], result) -> WorkerRun:
+        trace = profiler.finalize() if profiler is not None else None
+        if self.streaming:
+            # The trace lives in the store's shard; keep runs lightweight.
+            trace = None
+        return WorkerRun(worker=system.worker, result=result, trace=trace,
+                         total_time_us=system.clock.now_us, system=system)
+
+    def _worker_name(self, index: int) -> str:
+        return f"{self.worker_prefix}_{index}"
+
+    def _worker_system(self, index: int) -> Tuple[System, GraphEngine]:
+        """Worker ``index``'s own system (its "process") and graph engine."""
+        from .seeding import system_seed
+
+        system = System.create(
+            seed=system_seed(self.seed, index),
+            config=self.cost_config,
+            device=self.device,
+            worker=self._worker_name(index),
+        )
+        system.cuda.default_stream = index
+        return system, GraphEngine(system, flavor="tensorflow")
+
+    def _worker_profiler(self, system: System, engine: GraphEngine,
+                         envs=()) -> Optional[Profiler]:
+        """The worker's profiler (streaming into the pool's store), if profiling."""
+        if not self.profile:
+            return None
+        return Profiler(system, ProfilerConfig.full(), worker=system.worker,
+                        store=self._store).attach(engine=engine, envs=envs)
+
+    def _child_config(self) -> dict:
+        """Constructor kwargs a shard process rebuilds this pool from."""
+        return dict(
+            num_workers=self.num_workers,
+            profile=self.profile,
+            cost_config=self.cost_config,
+            seed=self.seed,
+            trace_dir=self.trace_dir,
+            chunk_events=self.chunk_events,
+            inference_max_batch=self.inference_max_batch,
+            num_replicas=self.num_replicas,
+            routing=self.routing,
+            flush_policy=self.flush_policy,
+            flush_timeout_us=self.flush_timeout_us,
+            **self._extra_child_config(),
+        )
+
+    def _run_parallel(self, weights: Optional[List[np.ndarray]]) -> List[WorkerRun]:
+        """Run the pool sharded over ``num_processes`` OS processes.
+
+        Shards build and advance the real worker stacks; the parent replays
+        their timelines through proxy drivers under the real scheduler and
+        the mirror service, so every scheduling/batching/routing decision —
+        and therefore every record and clock — matches the in-process event
+        loop bit-for-bit.
+        """
+        from functools import partial
+
+        from ..parallel.proxy import MirrorInferenceService, ProxyDriver
+        from ..parallel.runner import ParallelRunner, assign_workers
+        from ..parallel.shard import ShardSpec
+
+        config = self._child_config()
+        specs = [ShardSpec(pool_cls=type(self), pool_config=config,
+                           worker_indices=indices, weights=weights)
+                 for indices in assign_workers(self.num_workers, self.num_processes)]
+        runner = ParallelRunner(specs, backend=self.process_backend,
+                                fault_plan=self.fault_plan)
+        self.parallel_runner = runner
+        try:
+            service = self._start_service(
+                weights=weights,
+                service_factory=partial(MirrorInferenceService, runner=runner))
+            segments = runner.build()
+            proxies = [ProxyDriver(runner, index, self._worker_name(index),
+                                   service, segments[index])
+                       for index in range(self.num_workers)]
+            runner.attach(proxies)
+            self.pool_scheduler = PoolScheduler(
+                proxies, service,
+                flush_policy=self.flush_policy, flush_timeout_us=self.flush_timeout_us)
+            self.pool_scheduler.run()
+            finals = runner.finalize()
+        finally:
+            runner.stop()
+        self.runs = [finals[index] for index in range(self.num_workers)]
+        # The shards already merged their trace shards; closing the parent's
+        # (shard-less) writer just seals the store index.
+        self._end_run()
+        return self.runs
+
+    # ------------------------------------------------------------- reporting
+    def traces(self) -> Dict[str, EventTrace]:
+        return {run.worker: run.trace for run in self.runs if run.trace is not None}
+
+    def collection_span_us(self) -> float:
+        """Wall-clock span of the parallel collection phase (slowest worker)."""
+        return max((run.total_time_us for run in self.runs), default=0.0)
+
+
+class EnvRolloutPool(DriverPool):
     """Pool of env-rollout workers sharing one GPU and one inference service."""
+
+    worker_prefix = "rollout_worker"
+    function_name = POLICY_FUNCTION_NAME
 
     def __init__(
         self,
@@ -164,153 +523,62 @@ class EnvRolloutPool:
         keyless envs bypass it row-by-row.  ``cache_scope`` is ``"shared"``
         (one cache over all replicas) or ``"replica"``.
         """
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if steps_per_worker <= 0:
-            raise ValueError("steps_per_worker must be positive")
-        if num_replicas <= 0:
-            raise ValueError("num_replicas must be positive")
-        if flush_policy not in FLUSH_POLICIES:
-            raise ValueError(f"unknown flush policy {flush_policy!r}; "
-                             f"expected one of {FLUSH_POLICIES}")
-        if flush_policy == FLUSH_TIMEOUT and (flush_timeout_us is None or flush_timeout_us < 0):
-            raise ValueError("the timeout flush policy requires a non-negative flush_timeout_us")
-        if num_processes is not None:
-            from ..parallel.runner import BACKENDS
-            if num_processes <= 0:
-                raise ValueError("num_processes must be positive")
-            if store is not None:
-                raise ValueError("num_processes cannot share a live store object "
-                                 "across processes; pass trace_dir instead")
-            if network is not None or forward is not None or policy_factory is not None:
-                raise ValueError("num_processes requires the default network/forward/"
-                                 "policy (live objects cannot cross the process boundary)")
-            if process_backend not in BACKENDS:
-                raise ValueError(f"unknown process backend {process_backend!r}; "
-                                 f"expected one of {BACKENDS}")
-        if cache_capacity is not None:
-            from .evalcache import CACHE_SCOPES
-            if cache_scope not in CACHE_SCOPES:
-                raise ValueError(f"unknown cache scope {cache_scope!r}; "
-                                 f"expected one of {CACHE_SCOPES}")
-            if num_processes is not None:
-                raise ValueError(
-                    "num_processes cannot be combined with the service evaluation "
-                    "cache: shards replay engine calls from their own pre-run "
-                    "timelines, so parent-side cache hits would desynchronize the "
-                    "shard replicas; run the cache single-process")
         self.sim = sim
-        self.num_workers = num_workers
         self.steps_per_worker = steps_per_worker
         self.hidden = hidden
-        self.profile = profile
-        self.cost_config = cost_config
-        self.seed = seed
-        self.num_replicas = num_replicas
-        self.routing = routing
-        self.flush_policy = flush_policy
-        self.flush_timeout_us = flush_timeout_us
         self.collect_transitions = collect_transitions
         self.env_kwargs = dict(env_kwargs or {})
-        self.num_processes = num_processes
-        self.process_backend = process_backend
-        #: optional :class:`~repro.faults.plan.FaultPlan` for the multiprocess
-        #: tier (shard crashes -> respawn + journal replay).  Deliberately
-        #: excluded from :meth:`_child_config`: faults are injected by the
-        #: parent, never re-injected inside a respawned shard.
-        self.fault_plan = fault_plan
-        self.cache_capacity = cache_capacity
-        self.cache_scope = cache_scope
-        self.trace_dir = trace_dir
-        self.chunk_events = chunk_events
-        self.inference_max_batch = (inference_max_batch if inference_max_batch is not None
-                                    else max(1, num_workers // num_replicas))
         self._network = network
         self._forward = forward
         self._policy_factory = policy_factory
-        #: the shared accelerator all workers contend for
-        self.device = GPUDevice()
-        self.inference_service: Optional[InferenceService] = None
-        self.pool_scheduler: Optional[PoolScheduler] = None
-        self.runs: List[RolloutWorkerRun] = []
-        self._store = store
-        self._owns_store = False
-        self._streamed = False
-        if self._store is None and trace_dir is not None:
-            from ..tracedb.writer import StreamingTraceWriter
-            self._store = StreamingTraceWriter(trace_dir, chunk_events=chunk_events)
-            self._owns_store = True
+        super().__init__(
+            num_workers, profile=profile, cost_config=cost_config, seed=seed,
+            trace_dir=trace_dir, store=store, chunk_events=chunk_events,
+            inference_max_batch=inference_max_batch, num_replicas=num_replicas,
+            routing=routing, flush_policy=flush_policy, flush_timeout_us=flush_timeout_us,
+            num_processes=num_processes, process_backend=process_backend,
+            fault_plan=fault_plan, cache_capacity=cache_capacity, cache_scope=cache_scope)
 
-    @property
-    def streaming(self) -> bool:
-        return self._store is not None
+    def _validate(self) -> None:
+        super()._validate()
+        if self.steps_per_worker <= 0:
+            raise ValueError("steps_per_worker must be positive")
+        if self.num_processes is not None and (
+                self._network is not None or self._forward is not None
+                or self._policy_factory is not None):
+            raise ValueError("num_processes requires the default network/forward/"
+                             "policy (live objects cannot cross the process boundary)")
 
-    @property
-    def store(self) -> Optional["StreamingTraceWriter"]:
-        return self._store
-
-    def tracedb(self) -> "TraceDB":
-        """Open the streamed trace store for querying/map-reduce analysis."""
-        if self._store is None:
-            raise ValueError("pool was not created with trace_dir/store; no trace store to open")
-        from ..tracedb.store import TraceDB
-        return TraceDB(str(self._store.directory))
-
-    # ------------------------------------------------------------------ run
-    def run(self) -> List[RolloutWorkerRun]:
-        """Drive every worker's rollout to completion; returns per-worker runs."""
-        if self.streaming and self._streamed:
-            raise RuntimeError("this pool already streamed a run into its trace store; "
-                               "create a new pool (or trace_dir) for another run")
-        self.runs = []
-        if self.num_processes is not None:
-            return self._run_parallel()
+    # ---------------------------------------------------------------- hooks
+    def _make_stacks(self, indices, weights) -> list:
         # Build every worker's system/engine/env first (fixed creation order
-        # keeps every RNG stream independent of pool configuration).
-        stacks = [self._make_worker_stack(index) for index in range(self.num_workers)]
-        probe_env = stacks[0][2]
-        self.inference_service = self._build_service(probe_env)
-        drivers: List[EnvRolloutDriver] = []
-        profilers: List[Optional[Profiler]] = []
-        for index, (system, engine, env, profiler) in enumerate(stacks):
-            client = self.inference_service.connect(system, engine,
-                                                    worker=system.worker,
-                                                    profiler=profiler)
-            policy = self._make_policy(env, index)
-            drivers.append(EnvRolloutDriver(
-                env, client, policy, self.steps_per_worker,
+        # keeps every RNG stream independent of pool configuration); the
+        # service reads its shapes from the first env.
+        stacks = [self._make_worker_stack(index) for index in indices]
+        self._start_service(stacks[0][2], weights)
+        return stacks
+
+    def _make_driver(self, stack, index: int, blob: Optional[bytes] = None) -> PoolWorker:
+        system, engine, env, profiler = stack
+        client = self.inference_service.connect(system, engine, worker=system.worker,
+                                                profiler=profiler)
+        if blob is not None:
+            driver = EnvRolloutDriver.restore(env, client, blob, profiler=profiler)
+        else:
+            driver = EnvRolloutDriver(
+                env, client, self._make_policy(env, index), self.steps_per_worker,
                 seed=driver_seed(self.seed, index), profiler=profiler,
-                collect_transitions=self.collect_transitions))
-            profilers.append(profiler)
-        self.pool_scheduler = PoolScheduler(
-            drivers, self.inference_service,
-            flush_policy=self.flush_policy, flush_timeout_us=self.flush_timeout_us)
-        self.pool_scheduler.run()
-        for (system, _, _, profiler), driver in zip(stacks, drivers):
-            trace = profiler.finalize() if profiler is not None else None
-            if self.streaming:
-                trace = None  # the trace lives in the store's shard
-            self.runs.append(RolloutWorkerRun(
-                worker=system.worker, result=driver.result, trace=trace,
-                total_time_us=system.clock.now_us, system=system))
-        if self.streaming:
-            self._streamed = True
-            if self._owns_store:
-                self._store.close()
-        return self.runs
+                collect_transitions=self.collect_transitions)
+        return PoolWorker(driver, system, client, profiler)
 
-    def _build_service(self, probe_env, service_factory=None) -> InferenceService:
-        """Build the shared service for a fleet of ``probe_env``-shaped workers.
-
-        ``probe_env`` supplies the observation/action dims and the
+    def _service_model(self, probe_env):
+        """``probe_env`` supplies the observation/action dims and the
         discrete/continuous forward choice — identical for every worker of
-        one sim, so any worker's env (or a throwaway probe) works.
-        ``service_factory`` substitutes the class (the multiprocess path
-        passes the parent-side mirror service).
-        """
+        one sim, so any worker's env (or a throwaway probe) works."""
         from .seeding import network_seed
 
-        factory = service_factory if service_factory is not None else InferenceService
+        if probe_env is None:
+            probe_env = self._probe_env()
         network = self._network
         if network is None:
             network = RolloutPolicyNet(
@@ -321,40 +589,13 @@ class EnvRolloutPool:
         forward = self._forward
         if forward is None and not probe_env.is_discrete:
             forward = continuous_actor_forward
-        cache_kwargs = {}
-        if self.cache_capacity is not None:
-            cache_kwargs.update(cache_capacity=self.cache_capacity,
-                                cache_scope=self.cache_scope)
-        return factory(
-            network,
-            max_batch=self.inference_max_batch,
-            num_replicas=self.num_replicas,
-            routing=self.routing,
-            primary_device=self.device,
-            cost_config=self.cost_config,
-            seed=self.seed,
-            function_name=POLICY_FUNCTION_NAME,
-            forward=forward,
-            **cache_kwargs,
-        )
+        return network, forward
 
-    def _child_config(self) -> dict:
-        """Constructor kwargs a shard process rebuilds this pool from."""
+    def _extra_child_config(self) -> dict:
         return dict(
             sim=self.sim,
-            num_workers=self.num_workers,
             steps_per_worker=self.steps_per_worker,
             hidden=self.hidden,
-            profile=self.profile,
-            cost_config=self.cost_config,
-            seed=self.seed,
-            trace_dir=self.trace_dir,
-            chunk_events=self.chunk_events,
-            inference_max_batch=self.inference_max_batch,
-            num_replicas=self.num_replicas,
-            routing=self.routing,
-            flush_policy=self.flush_policy,
-            flush_timeout_us=self.flush_timeout_us,
             collect_transitions=self.collect_transitions,
             env_kwargs=self.env_kwargs,
         )
@@ -364,76 +605,14 @@ class EnvRolloutPool:
         return registry.make(self.sim, System.create(seed=0, worker="probe"),
                              seed=0, **self.env_kwargs)
 
-    def _run_parallel(self) -> List[RolloutWorkerRun]:
-        """Run the pool sharded over ``num_processes`` OS processes.
-
-        Same merge architecture as :meth:`SelfPlayPool._run_parallel`:
-        shards own the real worker stacks, the parent owns the schedule.
-        """
-        from functools import partial
-
-        from ..parallel.proxy import MirrorInferenceService, ProxyDriver
-        from ..parallel.runner import ParallelRunner, assign_workers
-        from ..parallel.shard import ShardSpec
-
-        config = self._child_config()
-        specs = [ShardSpec(kind="envrollout", pool_config=config,
-                           worker_indices=indices)
-                 for indices in assign_workers(self.num_workers, self.num_processes)]
-        runner = ParallelRunner(specs, backend=self.process_backend,
-                                fault_plan=self.fault_plan)
-        self.parallel_runner = runner
-        try:
-            service = self._build_service(
-                self._probe_env(),
-                service_factory=partial(MirrorInferenceService, runner=runner))
-            self.inference_service = service
-            segments = runner.build()
-            proxies = [ProxyDriver(runner, index, f"rollout_worker_{index}",
-                                   service, segments[index])
-                       for index in range(self.num_workers)]
-            runner.attach(proxies)
-            self.pool_scheduler = PoolScheduler(
-                proxies, service,
-                flush_policy=self.flush_policy, flush_timeout_us=self.flush_timeout_us)
-            self.pool_scheduler.run()
-            finals = runner.finalize()
-        finally:
-            runner.stop()
-        self.runs = [RolloutWorkerRun(worker=f"rollout_worker_{index}",
-                                      result=finals[index]["result"],
-                                      trace=finals[index]["trace"],
-                                      total_time_us=finals[index]["total_time_us"])
-                     for index in range(self.num_workers)]
-        if self.streaming:
-            self._streamed = True
-            if self._owns_store:
-                # The shards already merged their trace shards; closing the
-                # parent's (shard-less) writer just seals the store index.
-                self._store.close()
-        return self.runs
-
     def _make_worker_stack(self, index: int):
         """Build one worker's system/engine/env/profiler (its "process")."""
-        from .seeding import system_seed, worker_seed
+        from .seeding import worker_seed
 
-        worker_name = f"rollout_worker_{index}"
-        system = System.create(
-            seed=system_seed(self.seed, index),
-            config=self.cost_config,
-            device=self.device,
-            worker=worker_name,
-        )
-        system.cuda.default_stream = index
-        engine = GraphEngine(system, flavor="tensorflow")
+        system, engine = self._worker_system(index)
         env = registry.make(self.sim, system, seed=worker_seed(self.seed, index),
                             **self.env_kwargs)
-        profiler: Optional[Profiler] = None
-        if self.profile:
-            profiler = Profiler(system, ProfilerConfig.full(), worker=worker_name,
-                                store=self._store)
-            profiler.attach(engine=engine, envs=(env,))
-        return system, engine, env, profiler
+        return system, engine, env, self._worker_profiler(system, engine, (env,))
 
     def _make_policy(self, env, index: int) -> ActionPolicy:
         if self._policy_factory is not None:
@@ -441,12 +620,5 @@ class EnvRolloutPool:
         return SampledDiscretePolicy() if env.is_discrete else GaussianNoisePolicy()
 
     # ------------------------------------------------------------- reporting
-    def traces(self) -> Dict[str, EventTrace]:
-        return {run.worker: run.trace for run in self.runs if run.trace is not None}
-
     def total_steps(self) -> int:
         return sum(run.result.steps for run in self.runs)
-
-    def collection_span_us(self) -> float:
-        """Wall-clock span of the parallel collection phase (slowest worker)."""
-        return max((run.total_time_us for run in self.runs), default=0.0)

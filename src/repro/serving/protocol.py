@@ -1,6 +1,6 @@
 """Wire protocol of the networked inference tier.
 
-The serving split promotes :class:`~repro.minigo.inference.InferenceService`
+The serving split promotes :class:`~repro.rollout.inference.InferenceService`
 from an in-process object to a client/server boundary: requests and replies
 cross it as **framed byte messages**, exactly as they would cross a socket.
 The simulation stays in virtual time — no real network I/O happens — but

@@ -1,7 +1,7 @@
 """Virtual-time inference server: admission control, bounded ingress, shedding.
 
 :class:`InferenceServer` is the serving tier between remote clients and the
-sharded :class:`~repro.minigo.inference.InferenceService`.  It consumes
+sharded :class:`~repro.rollout.inference.InferenceService`.  It consumes
 framed :class:`~repro.serving.protocol.EvalRequest` messages and defends the
 replica pool with three mechanisms a production inference frontend needs and
 the in-process pool never did:
@@ -34,7 +34,7 @@ the in-process pool never did:
   queue unbounded (``queue_capacity=None``) the server adds **zero**
   perturbation: the underlying service sees exactly the submissions and
   serve calls the PR 4 scheduler idiom would issue, so its
-  :class:`~repro.minigo.inference.InferenceStats` reproduce exactly.
+  :class:`~repro.rollout.inference.InferenceStats` reproduce exactly.
 
 Everything runs in virtual time under seed control.  The server's clock is a
 **cursor**: the event loop seeks it to each event's virtual time, batches
@@ -62,7 +62,9 @@ from ..cuda.runtime import CudaRuntime
 from ..hw.clock import VirtualClock
 from ..hw.costmodel import CostModel, CostModelConfig
 from ..hw.gpu import GPUDevice
-from ..minigo.inference import (
+from ..faults.plan import FaultInjector, FaultPlan
+from ..rollout.evalcache import EvalCache
+from ..rollout.inference import (
     FLUSH_MAX_BATCH,
     FLUSH_POLICIES,
     FLUSH_TIMEOUT,
@@ -72,8 +74,6 @@ from ..minigo.inference import (
     ROUTING_ROUND_ROBIN,
     RoutingPolicy,
 )
-from ..faults.plan import FaultInjector, FaultPlan
-from ..rollout.evalcache import EvalCache
 from ..system import System
 from .protocol import (
     STATUS_OK,

@@ -386,7 +386,7 @@ def test_queue_delay_percentiles_match_observed_delays():
 
 
 def test_queue_delay_reservoir_is_bounded_and_deterministic():
-    from repro.minigo.inference import ReservoirSample
+    from repro.rollout.inference import ReservoirSample
     a = ReservoirSample(capacity=32, seed=3)
     b = ReservoirSample(capacity=32, seed=3)
     for value in range(1000):

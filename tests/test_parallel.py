@@ -179,7 +179,7 @@ def test_snapshots_restore_drivers_on_freshly_respawned_processes():
     config = pool._child_config()
 
     def specs(restore=None):
-        return [ShardSpec(kind="envrollout", pool_config=config,
+        return [ShardSpec(pool_cls=EnvRolloutPool, pool_config=config,
                           worker_indices=[windex], restore=restore)
                 for windex in (0, 1)]
 
@@ -227,10 +227,7 @@ def test_more_processes_than_workers_still_bit_identical():
 
 
 def test_multiprocess_validations():
-    with pytest.raises(ValueError, match="num_processes"):
-        EnvRolloutPool("Pong", 2, num_processes=0)
-    with pytest.raises(ValueError, match="backend"):
-        EnvRolloutPool("Pong", 2, num_processes=2, process_backend="threads")
+    # Options both pools share are covered by tests/test_pool_validation.py.
     with pytest.raises(ValueError, match="event scheduler"):
         SelfPlayPool(num_workers=2, batched_inference=True,
                      scheduler="sequential", num_processes=2)
@@ -238,10 +235,6 @@ def test_multiprocess_validations():
     live = RolloutPolicyNet(4, 2, (8,), rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="live objects"):
         EnvRolloutPool("Pong", 2, network=live, num_processes=2)
-    from repro.tracedb.writer import StreamingTraceWriter
-    with pytest.raises(ValueError, match="store"):
-        EnvRolloutPool("Pong", 2, num_processes=2,
-                       store=StreamingTraceWriter("/tmp/unused-store-dir"))
 
 
 def test_shard_timeline_divergence_fails_loudly():
@@ -252,7 +245,7 @@ def test_shard_timeline_divergence_fails_loudly():
 
     pool = EnvRolloutPool("Pong", 2, steps_per_worker=3, seed=0)
     config = pool._child_config()
-    spec = ShardSpec(kind="envrollout", pool_config=config, worker_indices=[0, 1])
+    spec = ShardSpec(pool_cls=EnvRolloutPool, pool_config=config, worker_indices=[0, 1])
     runner = ParallelRunner([spec], backend="inline")
     try:
         from functools import partial

@@ -58,10 +58,7 @@ def test_routing_policy_factory_and_validation():
         make_routing_policy("bogus")
     with pytest.raises(ValueError):
         InferenceService(make_network(), num_replicas=0)
-    with pytest.raises(ValueError):
-        SelfPlayPool(2, batched_inference=True, num_replicas=0, **POOL_KWARGS)
-    with pytest.raises(ValueError):
-        SelfPlayPool(2, batched_inference=True, routing="bogus", **POOL_KWARGS)
+    # Pool options both pools share are covered by tests/test_pool_validation.py.
     with pytest.raises(ValueError):
         # There is no service to shard without batched inference.
         SelfPlayPool(2, num_replicas=2, **POOL_KWARGS)

@@ -240,12 +240,9 @@ def test_env_rollout_driver_rejects_step_while_blocked():
 
 
 def test_env_rollout_pool_validates_arguments():
-    with pytest.raises(ValueError):
-        EnvRolloutPool("Pong", 0)
+    # Options both pools share are covered by tests/test_pool_validation.py.
     with pytest.raises(ValueError):
         EnvRolloutPool("Pong", 2, steps_per_worker=0)
-    with pytest.raises(ValueError):
-        EnvRolloutPool("Pong", 2, flush_policy="nonsense")
     with pytest.raises(KeyError):
         EnvRolloutPool("NotARealSim", 2).run()
 
@@ -254,14 +251,19 @@ def test_env_rollout_pool_validates_arguments():
 def test_minigo_drivers_and_shims_are_the_rollout_core():
     from repro import minigo, rollout
     from repro.minigo.selfplay import GameDriver
+    from repro.rollout import inference as core
+    from repro.rollout.pool import DriverPool
 
     assert issubclass(GameDriver, StepwiseDriver)
+    assert issubclass(minigo.SelfPlayPool, DriverPool)
+    assert issubclass(EnvRolloutPool, DriverPool)
     assert minigo.InferenceService is rollout.InferenceService
     assert minigo.PoolScheduler is rollout.PoolScheduler
-    from repro.minigo import inference as shim
-    from repro.rollout import inference as core
-    for name in shim.__all__:
-        assert getattr(shim, name) is getattr(core, name)
+    # Every inference name repro.minigo re-exports is the rollout core's own.
+    shared = [name for name in minigo.__all__ if hasattr(core, name)]
+    assert "InferenceService" in shared and "make_routing_policy" in shared
+    for name in shared:
+        assert getattr(minigo, name) is getattr(core, name)
 
 
 # --------------------------------------------------------------- rl attachment

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.minigo import PolicyValueNet
-from repro.minigo.inference import FLUSH_TIMEOUT
+from repro.rollout.inference import FLUSH_TIMEOUT
 from repro.serving import (
     BurstyProcess,
     EvalReply,
@@ -525,7 +525,7 @@ def test_unlimited_server_reproduces_bare_service_stats_exactly():
     reproduces the gateway cursor's timeline exactly.
     """
     from repro.backend import GraphEngine
-    from repro.minigo.inference import InferenceService
+    from repro.rollout.inference import InferenceService
     from repro.system import System
 
     seed = 0
