@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backend import GraphEngine
 from repro.hw.gpu import GPUDevice
-from repro.minigo import MCTS, InferenceService, PolicyValueNet
+from repro.minigo import MCTS, InferenceService, PolicyValueNet, SelfPlayPool
+from repro.rollout import EnvRolloutPool
 from repro.rollout.evalcache import CACHE_SCOPES, EvalCache
 from repro.rollout.inference import InferenceStats
 from repro.sim.go import GoPosition
@@ -246,6 +247,21 @@ def test_collected_network_purges_registry_without_evicting_successor():
     stale_purge(old_ref)
     assert service._net_tokens[id(old)] == entry, \
         "a stale purge callback must not evict the successor's entry"
+
+
+# -------------------------------------------------- multiprocess rejection
+def test_selfplay_pool_rejects_multiprocess_cache():
+    with pytest.raises(ValueError, match="cannot be combined with the service evaluation"):
+        SelfPlayPool(2, board_size=5, num_simulations=2, games_per_worker=1,
+                     batched_inference=True, scheduler="event", leaf_batch=2,
+                     cache_capacity=16, num_processes=2, process_backend="inline")
+
+
+def test_env_pool_rejects_multiprocess_cache():
+    with pytest.raises(ValueError, match="cannot be combined with the service evaluation"):
+        EnvRolloutPool("Pong", num_workers=2, steps_per_worker=2,
+                       cache_capacity=16, num_processes=2,
+                       process_backend="inline")
 
 
 # ------------------------------------------------- MCTS transposition table
