@@ -169,7 +169,7 @@ class SelfPlayPool(DriverPool):
     def run(self, weights: Optional[List[np.ndarray]] = None) -> List[WorkerRun]:
         """Run every worker's self-play session; returns per-worker results."""
         if self.scheduler == SCHEDULER_EVENT:
-            return super().run(weights)
+            return self._run(weights)
         # Sequential: each worker plays to completion on its own timeline,
         # flushing the shared service (if any) at every inference boundary.
         self._begin_run()

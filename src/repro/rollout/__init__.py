@@ -44,7 +44,7 @@ from .inference import (
     StickyRouting,
     make_routing_policy,
 )
-from .pool import DriverPool, EnvRolloutPool, WorkerRun
+from .pool import EnvRolloutPool, WorkerRun
 from .scheduler import PoolScheduler, SchedulerStats
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
     "RoutingPolicy",
     "StickyRouting",
     "make_routing_policy",
-    "DriverPool",
     "EnvRolloutPool",
     "WorkerRun",
     "PoolScheduler",

@@ -277,11 +277,13 @@ class DriverPool:
         return {}
 
     # ------------------------------------------------------------------ run
-    def run(self, weights: Optional[List[np.ndarray]] = None) -> List[WorkerRun]:
-        """Drive every worker to completion; returns per-worker runs.
+    def run(self) -> List[WorkerRun]:
+        """Drive every worker to completion; returns per-worker runs."""
+        return self._run()
 
-        ``weights`` are loaded into the shared model before any clock starts.
-        """
+    def _run(self, weights: Optional[List[np.ndarray]] = None) -> List[WorkerRun]:
+        """The event-loop run; ``weights`` (self-play only) are loaded into
+        the shared model before any clock starts."""
         self._begin_run()
         if self.num_processes is not None:
             return self._run_parallel(weights)
