@@ -11,10 +11,10 @@ produces those numbers, pinning the speedup of the three optimized hot paths:
   :func:`~repro.profiler.overlap.compute_overlap`.
 
 The pre-optimization baseline is not a hard-coded number (machine-dependent
-and unverifiable) but the *preserved original code*: the reference flood-fill
-Go engine (:mod:`repro.sim.go_reference`), eager MCTS child materialization
-(``MCTS.eager_child_positions``), and the linear-scan scheduler loop
-(``PoolScheduler.default_use_heap = False``).  Both harnesses run the same
+and unverifiable) but the *preserved original code* in ``tests/oracles/``:
+the reference flood-fill Go engine (``go_reference``), eager MCTS child
+materialization (``eager_mcts``), and the linear-scan scheduler loop
+(``scan_scheduler``).  Both harnesses run the same
 8-worker / ``leaf_batch=8`` event-scheduler pool on the same seed; the
 acceptance bar is a **>=3x end-to-end wall-clock speedup** with game records
 and per-worker virtual clocks **bit-for-bit identical** — fast must also mean
@@ -36,16 +36,22 @@ import json
 import os
 import subprocess
 import time
+import statistics
 from contextlib import contextmanager
 from pathlib import Path
+from unittest.mock import patch
 
 from conftest import save_report
-from repro.minigo import mcts as mcts_mod
 from repro.minigo import selfplay as selfplay_mod
+from repro.minigo.mcts import MCTS
 from repro.minigo.workers import PoolScheduler, SelfPlayPool
+from repro.profiler import overlap as overlap_mod
 from repro.profiler.events import merge_traces
 from repro.profiler.overlap import OverlapResult, compute_overlap
-from repro.sim.go_reference import ReferenceGoPosition
+from tests.oracles.eager_mcts import expand_with_priors_eager
+from tests.oracles.go_reference import ReferenceGoPosition
+from tests.oracles.overlap_loop import _accumulate_worker_loop
+from tests.oracles.scan_scheduler import run_scan
 
 QUICK = os.environ.get("WALLCLOCK_QUICK") == "1"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +78,8 @@ MIN_END_TO_END_SPEEDUP = 3.0
 #: (the single-pass win grows with worker count, so it is measured wide).
 OVERLAP_WORKERS = 8 if QUICK else 32
 OVERLAP_REPEATS = 3
+#: Alternating (vectorized, loop) timing pairs behind the sweep gate.
+OVERLAP_SWEEP_PAIRS = 5
 #: Per-worker interval floor for the overlap trace: the vectorized sweep's
 #: win is per-worker-slice-sized, so each worker's slice is tiled in time
 #: until it is at least this dense.
@@ -84,16 +92,10 @@ MIN_OVERLAP_VECTOR_SPEEDUP = 5.0
 @contextmanager
 def pre_optimization_harness():
     """Swap the preserved original implementations in for one run."""
-    saved = (selfplay_mod.GoPosition, mcts_mod.MCTS.eager_child_positions,
-             PoolScheduler.default_use_heap)
-    selfplay_mod.GoPosition = ReferenceGoPosition
-    mcts_mod.MCTS.eager_child_positions = True
-    PoolScheduler.default_use_heap = False
-    try:
+    with patch.object(selfplay_mod, "GoPosition", ReferenceGoPosition), \
+            patch.object(MCTS, "_expand_with_priors", expand_with_priors_eager), \
+            patch.object(PoolScheduler, "run", run_scan):
         yield
-    finally:
-        (selfplay_mod.GoPosition, mcts_mod.MCTS.eager_child_positions,
-         PoolScheduler.default_use_heap) = saved
 
 
 def _run_pool(**overrides):
@@ -134,18 +136,20 @@ def _overlap_metrics():
       many-worker trace: one profiled worker shard cloned across
       ``OVERLAP_WORKERS`` synthetic workers.
     * **vectorized sweep vs the preserved Python loop**
-      (``_accumulate_worker_loop``) — the win is per worker *slice*, so
-      each worker's clone is additionally tiled in time until it holds at
-      least ``OVERLAP_MIN_INTERVALS_PER_WORKER`` intervals.  Both sweeps
+      (``tests/oracles/overlap_loop.py``) — the win is per worker *slice*,
+      so each worker's clone is additionally tiled in time until it holds
+      at least ``OVERLAP_MIN_INTERVALS_PER_WORKER`` intervals.  Both sweeps
       must produce byte-identical regions (same key order, same float
       bits), and the speedup must clear ``MIN_OVERLAP_VECTOR_SPEEDUP``.
 
-    Timings take the best of ``OVERLAP_REPEATS`` runs to suppress
-    scheduler noise.
+    Pass timings take the best of ``OVERLAP_REPEATS`` runs to suppress
+    scheduler noise.  The sweep gate times ``OVERLAP_SWEEP_PAIRS``
+    back-to-back (vectorized, loop) pairs, swapping which side runs first
+    each pair, so a host slowdown hits both sides of a pair alike; the gate
+    is the median of the per-pair ratios.
     """
     from dataclasses import replace
 
-    from repro.profiler import overlap as overlap_mod
     from repro.profiler.events import EventTrace
 
     pool, _ = _run_pool(profile=True)
@@ -184,17 +188,12 @@ def _overlap_metrics():
     assert refilter().regions == single_pass.regions, \
         "per-worker re-filtered overlap must stay byte-identical to the single pass"
 
-    # The second preserved baseline: the per-boundary Python sweep
-    # (_accumulate_worker_loop).  Timed on pre-grouped per-worker slices so
-    # the bar isolates exactly what was vectorized; byte-identity is
-    # asserted end to end through compute_overlap.
-    assert overlap_mod.USE_VECTORIZED_ACCUMULATE, \
-        "the repo must ship with the vectorized sweep on"
-    overlap_mod.USE_VECTORIZED_ACCUMULATE = False
-    try:
+    # The second preserved baseline: the per-boundary Python sweep.  Timed
+    # on pre-grouped per-worker slices so the bar isolates exactly what was
+    # vectorized; byte-identity is asserted end to end through
+    # compute_overlap.
+    with patch.object(overlap_mod, "_accumulate_worker", _accumulate_worker_loop):
         loop_result = compute_overlap(wide)
-    finally:
-        overlap_mod.USE_VECTORIZED_ACCUMULATE = True
     assert list(loop_result.regions) == list(single_pass.regions) and all(
         loop_result.regions[key].hex() == single_pass.regions[key].hex()
         for key in loop_result.regions), \
@@ -210,17 +209,21 @@ def _overlap_metrics():
             accumulate(events_by_worker[worker], ops_by_worker[worker],
                        defaultdict(float))
 
-    vec_sweep_s = min(
-        _timed(lambda: sweep_all(overlap_mod._accumulate_worker_vectorized))
-        for _ in range(OVERLAP_REPEATS))
-    loop_sweep_s = min(
-        _timed(lambda: sweep_all(overlap_mod._accumulate_worker_loop))
-        for _ in range(OVERLAP_REPEATS))
-    vector_speedup = loop_sweep_s / vec_sweep_s if vec_sweep_s > 0 else float("inf")
+    vec_times, loop_times = [], []
+    for pair in range(OVERLAP_SWEEP_PAIRS):
+        sides = [(vec_times, overlap_mod._accumulate_worker),
+                 (loop_times, _accumulate_worker_loop)]
+        for times, accumulate in sides[::-1] if pair % 2 else sides:
+            times.append(_timed(lambda: sweep_all(accumulate)))
+    ratios = [loop / vec for loop, vec in zip(loop_times, vec_times)]
+    vec_sweep_s, loop_sweep_s = min(vec_times), min(loop_times)
+    vector_speedup = statistics.median(ratios)
+    quartiles = statistics.quantiles(ratios, n=4)
     assert vector_speedup >= MIN_OVERLAP_VECTOR_SPEEDUP, (
         f"expected >= {MIN_OVERLAP_VECTOR_SPEEDUP}x vectorized overlap sweep on "
         f"{intervals // len(workers)} intervals/worker, got {vector_speedup:.2f}x "
-        f"({loop_sweep_s:.3f}s -> {vec_sweep_s:.3f}s)")
+        f"(median of pair ratios {[round(r, 2) for r in ratios]}; best "
+        f"{loop_sweep_s:.3f}s -> {vec_sweep_s:.3f}s)")
     return {
         "trace_intervals": intervals,
         "workers": len(workers),
@@ -229,6 +232,8 @@ def _overlap_metrics():
         "vec_sweep_s": vec_sweep_s,
         "loop_sweep_s": loop_sweep_s,
         "vector_speedup": vector_speedup,
+        "vector_speedup_pairs": ratios,
+        "vector_speedup_iqr": quartiles[2] - quartiles[0],
         "events_per_sec": intervals / vec_sweep_s if vec_sweep_s > 0 else float("inf"),
         "loop_events_per_sec": intervals / loop_sweep_s if loop_sweep_s > 0 else float("inf"),
         "end_to_end_events_per_sec": intervals / single_pass_s if single_pass_s > 0 else float("inf"),

@@ -84,8 +84,8 @@ class MCTSNode:
     search never descends into — never pay for a board copy or legality
     bookkeeping at all.  Game records are unchanged: boards carry no RNG,
     and every node the search *does* visit materializes the identical
-    position the eager path would have built (pinned by
-    ``tests/test_go_oracle.py``).
+    position the eager oracle (``tests/oracles/eager_mcts.py``) builds at
+    expansion time (pinned by ``tests/test_go_oracle.py``).
     """
 
     __slots__ = ("_position", "parent", "move", "prior", "visit_count",
@@ -148,12 +148,6 @@ class MCTSNode:
 
 class MCTS:
     """PUCT tree search over Go positions."""
-
-    #: When True, expansion materializes every child's position immediately
-    #: (the pre-optimization behaviour).  The wall-clock benchmark flips this
-    #: to reproduce the old allocation pattern; searches are decision-
-    #: identical either way (boards carry no RNG).
-    eager_child_positions: bool = False
 
     def __init__(
         self,
@@ -318,16 +312,9 @@ class MCTS:
                 + self.exploration_fraction * noise
             )
 
-        eager = self.eager_child_positions
         children = node.children
         for move, index in zip(legal, legal_indices):
-            child = MCTSNode(
-                position=position.play(move) if eager else None,
-                parent=node,
-                move=move,
-                prior=float(masked[index]),
-            )
-            children[index] = child
+            children[index] = MCTSNode(parent=node, move=move, prior=float(masked[index]))
         node.is_expanded = True
 
     @staticmethod

@@ -11,9 +11,10 @@ Public surface:
 * :func:`analyze` / :class:`WorkloadAnalysis` — offline analysis producing
   the breakdowns, transition counts and multi-process summaries reported in
   the paper's figures.
-* :class:`TraceDumper` / :class:`TraceReader` — chunked trace storage
-  (thin wrappers over the :mod:`repro.tracedb` streaming store, which also
-  provides the shard-parallel analysis engine used by :func:`analyze_db`).
+
+Trace storage lives in :mod:`repro.tracedb`: ``Profiler(..., streaming=True)``
+writes a store, :class:`repro.tracedb.TraceDB` reads it, and its
+shard-parallel engine backs :func:`analyze_db`.
 """
 
 from .analysis import (
@@ -60,7 +61,6 @@ from .overlap import (
     OverlapResult,
     compute_overlap,
 )
-from .trace_store import TraceDumper, TraceReader, load_trace
 from . import report
 
 __all__ = [
@@ -99,8 +99,5 @@ __all__ = [
     "UNTRACKED",
     "OverlapResult",
     "compute_overlap",
-    "TraceDumper",
-    "TraceReader",
-    "load_trace",
     "report",
 ]

@@ -95,19 +95,20 @@ class Profiler:
         store instead of holding the whole trace in memory: at most one
         chunk of records stays buffered, and flushes cost zero virtual time.
         The finalized analysis is then read back through
-        :meth:`open_tracedb` / :class:`repro.tracedb.TraceDB`.
+        :meth:`open_tracedb` / :class:`repro.tracedb.TraceDB`.  ``trace_dir``
+        names the store directory, so it is only valid with streaming.
         """
         self.system = system
         self.config = config if config is not None else ProfilerConfig.full()
         self.worker = worker if worker is not None else system.worker
-        self.trace_dir = trace_dir
         self.streaming = bool(streaming or store is not None)
+        if store is None and self.streaming != (trace_dir is not None):
+            raise ValueError("trace_dir and streaming=True go together "
+                             "(or pass an explicit store)")
         self._store = store
         self._owns_store = False
         if self.streaming:
             if self._store is None:
-                if trace_dir is None:
-                    raise ValueError("streaming=True requires trace_dir (or an explicit store)")
                 from ..tracedb.writer import StreamingTraceWriter
                 self._store = StreamingTraceWriter(trace_dir, chunk_events=chunk_events)
                 self._owns_store = True
@@ -329,10 +330,6 @@ class Profiler:
             self._store.close_shard(self.worker, metadata=dict(self.trace.metadata))
             if self._owns_store:
                 self._store.close()
-        elif self.trace_dir is not None:
-            from .trace_store import TraceDumper
-            dumper = TraceDumper(self.trace_dir, worker=self.worker)
-            dumper.dump(self.trace)
         return self.trace
 
     @property

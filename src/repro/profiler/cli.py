@@ -48,7 +48,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from ..experiments.common import WorkloadSpec, run_workload
     from ..profiler.api import ProfilerConfig
     from ..profiler import report as report_mod
-    from ..profiler.trace_store import TraceDumper
+    from ..tracedb.writer import StreamingTraceWriter
 
     spec = WorkloadSpec(
         algo=args.algo.upper(),
@@ -82,7 +82,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.streaming:
             print(f"\ntrace streamed to {args.trace_dir} (inspect with: repro-trace summarize {args.trace_dir})")
         else:
-            TraceDumper(args.trace_dir).dump(run.trace)
+            writer = StreamingTraceWriter(args.trace_dir)
+            writer.write_trace(run.trace.metadata["worker"], run.trace)
+            writer.close()
             print(f"\ntrace written to {args.trace_dir}")
     return 0
 

@@ -11,9 +11,9 @@ occupied point maps to an immutable group record (color, stones, liberties)
 that is updated in place as stones are played and captures cascade, plus an
 incrementally-maintained Zobrist hash of the stone configuration.  Legality
 is therefore an O(neighbors) lookup instead of the flood-fill-per-candidate
-scan of the original implementation (preserved verbatim as
-:mod:`repro.sim.go_reference` and pinned equivalent by the random-game oracle
-in ``tests/test_go_oracle.py``).  :class:`GoPosition` is immutable, so its
+scan of the original implementation (preserved verbatim as a test oracle
+under ``tests/oracles/`` and pinned equivalent by the random-game oracle in
+``tests/test_go_oracle.py``).  :class:`GoPosition` is immutable, so its
 ``legal_moves()``/``features()`` are computed once and cached per instance —
 MCTS expansion and self-play record collection hit the cache instead of
 re-deriving them per call.

@@ -14,7 +14,7 @@ of that pipeline:
   phases, categories and record counts, so queries can skip whole shards.
 * :class:`TraceDB` — the query/aggregation engine: lazy chunk loading with
   an LRU cache, filtered scans (worker / phase / category / time window)
-  and whole-store materialisation for legacy consumers.
+  and whole-store materialisation for in-memory analysis.
 * :func:`parallel_overlap` / :func:`map_shards` — map-reduce analysis:
   per-shard :func:`~repro.profiler.overlap.compute_overlap` fanned out via
   :mod:`concurrent.futures`, reduced with
@@ -24,8 +24,8 @@ of that pipeline:
 * ``repro-trace`` (:mod:`repro.tracedb.cli`) — ``summarize`` / ``query`` /
   ``compact`` commands over a store directory.
 
-The legacy :mod:`repro.profiler.trace_store` API is a thin wrapper over
-this package; stores written by older versions of the code still load.
+A store is written only through :class:`StreamingTraceWriter` (directly, or
+by ``Profiler(..., streaming=True)``) and read only through :class:`TraceDB`.
 """
 
 from .format import (

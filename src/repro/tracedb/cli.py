@@ -9,8 +9,7 @@ Examples::
     repro-trace compact traces/ --out traces_compacted/ --chunk-events 100000
 
 ``compact`` rewrites a store with a fresh chunking (merging many small
-chunks into full-size compressed ones); it also converts legacy
-``rlscope_index.json`` stores into the indexed TraceDB format.
+chunks into full-size compressed ones).
 """
 
 from __future__ import annotations
@@ -71,8 +70,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
               f"{info['markers']:>8} {span}")
         if info["phases"]:
             print(f"{'':32s}   phases: {', '.join(info['phases'])}")
-        if info["legacy_chunks"]:
-            print(f"{'':32s}   ({info['legacy_chunks']} legacy chunks without index statistics)")
     if args.overlap:
         result = parallel_overlap(db, max_workers=args.jobs, mode=args.mode)
         print()

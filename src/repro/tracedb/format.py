@@ -8,11 +8,11 @@ A store directory contains
   worker's trace metadata.
 * ``shard_<worker>_<seq>.jsonl.gz`` — gzip-compressed JSONL chunk files.
   Each line is one record: ``{"t": "e"|"o"|"m", ...}`` for stack events,
-  operation annotations and overhead markers respectively.
+  operation annotations and overhead markers respectively.  Uncompressed
+  stores use plain ``.jsonl`` chunks with the same lines.
 
-Stores written by the legacy :mod:`repro.profiler.trace_store` module
-(``rlscope_index.json`` plus plain-JSON chunks) are also readable: their
-chunks carry no per-chunk statistics, so queries simply cannot skip them.
+Every chunk is indexed with its statistics, so a filtered scan can always
+decide from the index alone whether to load it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..profiler.events import Event, OverheadMarker
 
 INDEX_FILE = "tracedb_index.json"
-LEGACY_INDEX_FILE = "rlscope_index.json"
 STORE_FORMAT = "tracedb-v1"
 CHUNK_PREFIX = "shard"
 
@@ -43,30 +42,18 @@ RECORD_MARKER = "m"
 
 @dataclass(frozen=True)
 class ChunkMeta:
-    """Index entry for one chunk file.
-
-    ``start_us`` / ``end_us`` / ``phases`` / ``categories`` are ``None`` for
-    legacy chunks whose statistics are unknown; such chunks can never be
-    skipped by a filtered scan.
-    """
+    """Index entry for one (non-empty) chunk file."""
 
     file: str
     worker: str
     seq: int
-    num_events: Optional[int] = None
-    num_operations: Optional[int] = None
-    num_markers: Optional[int] = None
-    start_us: Optional[float] = None
-    end_us: Optional[float] = None
-    phases: Optional[Tuple[str, ...]] = None
-    categories: Optional[Tuple[str, ...]] = None
-    legacy: bool = False
-
-    @property
-    def num_records(self) -> Optional[int]:
-        if self.num_events is None or self.num_operations is None or self.num_markers is None:
-            return None
-        return self.num_events + self.num_operations + self.num_markers
+    num_events: int
+    num_operations: int
+    num_markers: int
+    start_us: float
+    end_us: float
+    phases: Tuple[str, ...]
+    categories: Tuple[str, ...]
 
     # ------------------------------------------------------------- filtering
     def may_contain(
@@ -77,18 +64,14 @@ class ChunkMeta:
         start_us: Optional[float] = None,
         end_us: Optional[float] = None,
     ) -> bool:
-        """Whether the chunk can hold records matching the filters.
-
-        Unknown statistics (legacy chunks) conservatively return ``True``.
-        """
-        if phase is not None and self.phases is not None and phase not in self.phases:
+        """Whether the chunk can hold records matching the filters."""
+        if phase is not None and phase not in self.phases:
             return False
-        if categories is not None and self.categories is not None:
-            if not set(categories) & set(self.categories):
-                return False
-        if start_us is not None and self.end_us is not None and self.end_us <= start_us:
+        if categories is not None and not set(categories) & set(self.categories):
             return False
-        if end_us is not None and self.start_us is not None and self.start_us >= end_us:
+        if start_us is not None and self.end_us <= start_us:
+            return False
+        if end_us is not None and self.start_us >= end_us:
             return False
         return True
 
@@ -103,27 +86,25 @@ class ChunkMeta:
             "num_markers": self.num_markers,
             "start_us": self.start_us,
             "end_us": self.end_us,
-            "phases": None if self.phases is None else list(self.phases),
-            "categories": None if self.categories is None else list(self.categories),
-            "legacy": self.legacy,
+            "phases": list(self.phases),
+            "categories": list(self.categories),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ChunkMeta":
-        phases = data.get("phases")
-        categories = data.get("categories")
+        """Decode an index entry; unknown keys (such as the ``"legacy"``
+        flag older stores carry) are ignored."""
         return cls(
             file=str(data["file"]),
             worker=str(data["worker"]),
             seq=int(data["seq"]),                              # type: ignore[arg-type]
-            num_events=None if data.get("num_events") is None else int(data["num_events"]),          # type: ignore[arg-type]
-            num_operations=None if data.get("num_operations") is None else int(data["num_operations"]),  # type: ignore[arg-type]
-            num_markers=None if data.get("num_markers") is None else int(data["num_markers"]),        # type: ignore[arg-type]
-            start_us=None if data.get("start_us") is None else float(data["start_us"]),               # type: ignore[arg-type]
-            end_us=None if data.get("end_us") is None else float(data["end_us"]),                     # type: ignore[arg-type]
-            phases=None if phases is None else tuple(str(p) for p in phases),      # type: ignore[union-attr]
-            categories=None if categories is None else tuple(str(c) for c in categories),  # type: ignore[union-attr]
-            legacy=bool(data.get("legacy", False)),
+            num_events=int(data["num_events"]),                # type: ignore[arg-type]
+            num_operations=int(data["num_operations"]),        # type: ignore[arg-type]
+            num_markers=int(data["num_markers"]),              # type: ignore[arg-type]
+            start_us=float(data["start_us"]),                  # type: ignore[arg-type]
+            end_us=float(data["end_us"]),                      # type: ignore[arg-type]
+            phases=tuple(str(p) for p in data["phases"]),      # type: ignore[union-attr]
+            categories=tuple(str(c) for c in data["categories"]),  # type: ignore[union-attr]
         )
 
 
@@ -162,39 +143,35 @@ def write_chunk(path: Path, payload: ChunkPayload, *, compress: bool = True) -> 
 
 
 def read_chunk(path: Path) -> ChunkPayload:
-    """Decode one chunk file (new JSONL format or a legacy JSON container)."""
+    """Decode one ``.jsonl`` or ``.jsonl.gz`` chunk file."""
     name = path.name
-    if name.endswith(".jsonl") or name.endswith(".jsonl.gz"):
-        payload = ChunkPayload()
-        opener = gzip.open if name.endswith(".gz") else open
-        with opener(path, "rt", encoding="utf-8") as handle:  # type: ignore[operator]
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                kind = record.pop("t")
-                if kind == RECORD_EVENT:
-                    payload.events.append(Event.from_dict(record))
-                elif kind == RECORD_OPERATION:
-                    payload.operations.append(Event.from_dict(record))
-                elif kind == RECORD_MARKER:
-                    payload.markers.append(OverheadMarker.from_dict(record))
-                else:  # pragma: no cover - future format versions
-                    raise ValueError(f"unknown record type {kind!r} in {path}")
-        return payload
-    # Legacy chunk: one JSON object holding flat record lists.
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return ChunkPayload(
-        events=[Event.from_dict(d) for d in data.get("events", [])],
-        operations=[Event.from_dict(d) for d in data.get("operations", [])],
-        markers=[OverheadMarker.from_dict(d) for d in data.get("markers", [])],
-    )
+    if name.endswith(".jsonl.gz"):
+        opener = gzip.open
+    elif name.endswith(".jsonl"):
+        opener = open
+    else:
+        raise ValueError(f"not a TraceDB chunk (expected .jsonl or .jsonl.gz): {path}")
+    payload = ChunkPayload()
+    with opener(path, "rt", encoding="utf-8") as handle:  # type: ignore[operator]
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            kind = record.pop("t")
+            if kind == RECORD_EVENT:
+                payload.events.append(Event.from_dict(record))
+            elif kind == RECORD_OPERATION:
+                payload.operations.append(Event.from_dict(record))
+            elif kind == RECORD_MARKER:
+                payload.markers.append(OverheadMarker.from_dict(record))
+            else:  # pragma: no cover - future format versions
+                raise ValueError(f"unknown record type {kind!r} in {path}")
+    return payload
 
 
 def build_meta(file: str, worker: str, seq: int, payload: ChunkPayload) -> ChunkMeta:
-    """Compute the index statistics for one chunk's records."""
+    """Compute the index statistics for one (non-empty) chunk's records."""
     starts: List[float] = [e.start_us for e in payload.events]
     ends: List[float] = [e.end_us for e in payload.events]
     starts += [op.start_us for op in payload.operations]
@@ -211,8 +188,8 @@ def build_meta(file: str, worker: str, seq: int, payload: ChunkPayload) -> Chunk
         num_events=len(payload.events),
         num_operations=len(payload.operations),
         num_markers=len(payload.markers),
-        start_us=min(starts) if starts else None,
-        end_us=max(ends) if ends else None,
+        start_us=min(starts),
+        end_us=max(ends),
         phases=tuple(sorted(phases)),
         categories=tuple(sorted(categories)),
     )
@@ -247,33 +224,16 @@ def write_index(directory: Path, workers: Mapping[str, WorkerEntry]) -> None:
 
 
 def read_index(directory: Path) -> Dict[str, WorkerEntry]:
-    """Read a store index, falling back to the legacy RL-Scope index format.
-
-    Raises :class:`FileNotFoundError` when the directory holds neither.
-    """
+    """Read a store index; :class:`FileNotFoundError` when there is none."""
     index_path = directory / INDEX_FILE
-    if index_path.exists():
-        with open(index_path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        workers: Dict[str, WorkerEntry] = {}
-        for worker, entry in raw.get("workers", {}).items():
-            workers[worker] = WorkerEntry(
-                chunks=[ChunkMeta.from_dict(m) for m in entry.get("chunks", [])],
-                metadata=dict(entry.get("metadata", {})),
-            )
-        return workers
-
-    legacy_path = directory / LEGACY_INDEX_FILE
-    if legacy_path.exists():
-        with open(legacy_path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        workers = {}
-        for worker, entry in raw.get("workers", {}).items():
-            metas = [
-                ChunkMeta(file=str(name), worker=worker, seq=seq, legacy=True)
-                for seq, name in enumerate(entry.get("chunks", []))
-            ]
-            workers[worker] = WorkerEntry(chunks=metas, metadata=dict(entry.get("metadata", {})))
-        return workers
-
-    raise FileNotFoundError(f"no TraceDB or RL-Scope trace index found in {directory}")
+    if not index_path.exists():
+        raise FileNotFoundError(f"no TraceDB index found in {directory}")
+    with open(index_path, "r", encoding="utf-8") as handle:
+        raw = json.load(handle)
+    return {
+        worker: WorkerEntry(
+            chunks=[ChunkMeta.from_dict(m) for m in entry.get("chunks", [])],
+            metadata=dict(entry.get("metadata", {})),
+        )
+        for worker, entry in raw.get("workers", {}).items()
+    }

@@ -76,26 +76,12 @@ class TraceDB:
         return entry
 
     def num_events(self, worker: Optional[str] = None) -> int:
-        """Total stack events (operations excluded); loads only unindexed chunks."""
-        total = 0
-        for meta in self.chunks(worker):
-            if meta.num_events is not None:
-                total += meta.num_events
-            else:
-                total += len(self._payload(meta).events)
-        return total
+        """Total stack events (operations excluded), from the index alone."""
+        return sum(meta.num_events for meta in self.chunks(worker))
 
     def span_us(self) -> float:
         """Largest end timestamp across every shard."""
-        span = 0.0
-        for meta in self.chunks():
-            if meta.end_us is not None:
-                span = max(span, meta.end_us)
-            else:
-                payload = self._payload(meta)
-                for record in payload.events + payload.operations:
-                    span = max(span, record.end_us)
-        return span
+        return max([0.0] + [meta.end_us for meta in self.chunks()])
 
     # ------------------------------------------------------------ chunk load
     def _payload(self, meta: ChunkMeta) -> ChunkPayload:
@@ -221,21 +207,15 @@ class TraceDB:
         out: Dict[str, Dict[str, object]] = {}
         for worker in self.workers():
             metas = self._workers[worker].chunks
-            known = [m for m in metas if m.num_records is not None]
-            phases = sorted({p for m in known if m.phases for p in m.phases})
-            categories = sorted({c for m in known if m.categories for c in m.categories})
-            ends = [m.end_us for m in known if m.end_us is not None]
-            starts = [m.start_us for m in known if m.start_us is not None]
             out[worker] = {
                 "chunks": len(metas),
-                "legacy_chunks": sum(1 for m in metas if m.legacy),
-                "events": sum(m.num_events or 0 for m in known),
-                "operations": sum(m.num_operations or 0 for m in known),
-                "markers": sum(m.num_markers or 0 for m in known),
-                "start_us": min(starts) if starts else None,
-                "end_us": max(ends) if ends else None,
-                "phases": phases,
-                "categories": categories,
+                "events": sum(m.num_events for m in metas),
+                "operations": sum(m.num_operations for m in metas),
+                "markers": sum(m.num_markers for m in metas),
+                "start_us": min((m.start_us for m in metas), default=None),
+                "end_us": max((m.end_us for m in metas), default=None),
+                "phases": sorted({p for m in metas for p in m.phases}),
+                "categories": sorted({c for m in metas for c in m.categories}),
                 "metadata": dict(self._workers[worker].metadata),
             }
         return out

@@ -179,6 +179,17 @@ class StreamingTraceWriter:
             self.set_metadata(worker, metadata)
         self.write_index()
 
+    def write_trace(self, worker: str, trace: EventTrace) -> None:
+        """Write a finished in-memory trace as ``worker``'s shard and seal it."""
+        shard = self.shard(worker)
+        for event in trace.events:
+            shard.add_event(event)
+        for operation in trace.operations:
+            shard.add_operation(operation)
+        for marker in trace.markers:
+            shard.add_marker(marker)
+        self.close_shard(worker, metadata=dict(trace.metadata))
+
     # ----------------------------------------------------------------- index
     def write_index(self) -> None:
         """Merge this writer's shards into the store index on disk."""

@@ -3,7 +3,7 @@
 The optimized :class:`repro.sim.go.GoBoard` replaces flood-fill-per-query
 with incrementally-maintained group/liberty maps and an incremental Zobrist
 hash.  These tests pin it against the verbatim pre-optimization
-implementation (:mod:`repro.sim.go_reference`):
+implementation (``tests/oracles/go_reference.py``):
 
 * hundreds of seeded random 9x9 games with *identical* legal-move sets,
   captures, ko verdicts, board arrays and final scores at every step;
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.go import BLACK, EMPTY, WHITE, GoBoard, GoPosition
-from repro.sim.go_reference import ReferenceGoBoard, ReferenceGoPosition
+from tests.oracles.go_reference import ReferenceGoBoard, ReferenceGoPosition
 
 #: The acceptance bar: at least this many full 9x9 oracle games.
 ORACLE_GAMES = 200
@@ -227,9 +227,10 @@ def _uniform_evaluator(num_moves):
     return evaluate
 
 
-def test_lazy_child_positions_match_eager_search():
+def test_lazy_child_positions_match_eager_search(monkeypatch):
     """Lazy materialization changes no search decision and skips most boards."""
     from repro.minigo.mcts import MCTS
+    from tests.oracles.eager_mcts import expand_with_priors_eager
 
     def run_search():
         mcts = MCTS(_uniform_evaluator(26), num_simulations=24, leaf_batch=4,
@@ -237,12 +238,9 @@ def test_lazy_child_positions_match_eager_search():
         return mcts.search(GoPosition.initial(5))
 
     lazy_root = run_search()
-    assert MCTS.eager_child_positions is False
-    try:
-        MCTS.eager_child_positions = True
+    with monkeypatch.context() as patch:
+        patch.setattr(MCTS, "_expand_with_priors", expand_with_priors_eager)
         eager_root = run_search()
-    finally:
-        MCTS.eager_child_positions = False
 
     def visits(node):
         return sorted((index, child.visit_count) for index, child in node.children.items())

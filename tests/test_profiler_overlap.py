@@ -1,9 +1,12 @@
 """Tests for the cross-stack event overlap computation (Section 3.3)."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.profiler import overlap as overlap_mod
 from repro.profiler.events import (
     CATEGORY_BACKEND,
     CATEGORY_CUDA_API,
@@ -21,6 +24,7 @@ from repro.profiler.overlap import (
     UNTRACKED,
     compute_overlap,
 )
+from tests.oracles.overlap_loop import _accumulate_worker_loop
 
 
 def _event(category, start, end, name=None, worker="worker_0"):
@@ -241,14 +245,11 @@ def _regions_bits(result):
 
 
 def _compute_with(vectorized: bool, trace, **kwargs):
-    from repro.profiler import overlap as overlap_mod
-
-    saved = overlap_mod.USE_VECTORIZED_ACCUMULATE
-    overlap_mod.USE_VECTORIZED_ACCUMULATE = vectorized
-    try:
+    """compute_overlap on the numpy sweep, or on the original Python loop."""
+    if vectorized:
         return compute_overlap(trace, **kwargs)
-    finally:
-        overlap_mod.USE_VECTORIZED_ACCUMULATE = saved
+    with patch.object(overlap_mod, "_accumulate_worker", _accumulate_worker_loop):
+        return compute_overlap(trace, **kwargs)
 
 
 @st.composite

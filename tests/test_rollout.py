@@ -22,6 +22,7 @@ from repro.rollout import (
 )
 from repro.rollout.pool import RolloutPolicyNet
 from repro.system import System
+from tests.oracles.scan_scheduler import run_scan
 
 FEATURE_DIM = 4
 
@@ -82,8 +83,7 @@ class SyntheticDriver(StepwiseDriver):
         return True
 
 
-def _synthetic_pool(num_workers, rounds, *, compute_us=None, profile=False,
-                    use_heap=None, seed=0):
+def _synthetic_pool(num_workers, rounds, *, compute_us=None, profile=False, seed=0):
     """num_workers synthetic drivers sharing one service on one device."""
     device = GPUDevice()
     network = RolloutPolicyNet(FEATURE_DIM, 3, (8,),
@@ -106,8 +106,7 @@ def _synthetic_pool(num_workers, rounds, *, compute_us=None, profile=False,
         drivers.append(SyntheticDriver(system, client, rounds, us,
                                        profiler=profiler))
         profilers.append(profiler)
-    kwargs = {} if use_heap is None else {"use_heap": use_heap}
-    scheduler = PoolScheduler(drivers, service, **kwargs)
+    scheduler = PoolScheduler(drivers, service)
     return scheduler, drivers, profilers, service
 
 
@@ -158,17 +157,15 @@ def test_heap_and_scan_schedules_identical():
     """The lazy-heap scheduler replays the scan loop's decisions exactly."""
     compute = (7.0, 19.0, 3.0, 11.0)
     runs = {}
-    for use_heap in (False, True):
-        scheduler, drivers, _, _ = _synthetic_pool(
-            4, rounds=5, compute_us=compute, use_heap=use_heap)
-        scheduler.run()
-        stats = scheduler.stats
-        runs[use_heap] = (
+    for heap, run in ((False, run_scan), (True, PoolScheduler.run)):
+        scheduler, drivers, _, _ = _synthetic_pool(4, rounds=5, compute_us=compute)
+        stats = run(scheduler)
+        runs[heap] = (
             [d.results for d in drivers],
             [d.now_us for d in drivers],
             (stats.steps, stats.serves, stats.steps_per_worker),
         )
-        assert (stats.heap_pops > 0) == use_heap
+        assert (stats.heap_pops > 0) == heap
     assert runs[True] == runs[False]
 
 

@@ -13,6 +13,7 @@ from repro.minigo import (
 from repro.minigo.mcts import MCTS, LeafEvalRequest
 from repro.profiler import multi_process_summary
 from repro.sim.go import GoPosition
+from tests.oracles.scan_scheduler import run_scan
 
 POOL_KWARGS = dict(board_size=5, num_simulations=6, games_per_worker=1,
                    max_moves=8, hidden=(16, 16), seed=3)
@@ -150,17 +151,11 @@ def test_event_scheduler_profiled_run_attributes_wait_inside_operations():
 
 
 # ------------------------------------------------------- heap vs linear scan
-def _run_event_pool(use_heap, **overrides):
-    from repro.minigo.workers import PoolScheduler
+def _run_event_pool(**overrides):
     kwargs = dict(profile=False, batched_inference=True, scheduler="event")
     kwargs.update(overrides)
-    saved = PoolScheduler.default_use_heap
-    PoolScheduler.default_use_heap = use_heap
-    try:
-        pool = SelfPlayPool(**kwargs)
-        pool.run()
-    finally:
-        PoolScheduler.default_use_heap = saved
+    pool = SelfPlayPool(**kwargs)
+    pool.run()
     return pool
 
 
@@ -169,7 +164,7 @@ def _run_event_pool(use_heap, **overrides):
     dict(num_workers=4, leaf_batch=4, flush_policy="timeout", flush_timeout_us=10.0),
     dict(num_workers=4, leaf_batch=4, num_replicas=2, routing="least-loaded"),
 ])
-def test_heap_scheduler_matches_linear_scan(config):
+def test_heap_scheduler_matches_linear_scan(config, monkeypatch):
     """The lazy min-heap makes identical scheduling decisions to the scan.
 
     Covered paths: the plain all-blocked barrier, timeout deadline serves
@@ -177,8 +172,10 @@ def test_heap_scheduler_matches_linear_scan(config):
     serves.  Game records, per-worker clocks and every *decision* counter
     must be identical; only the heap bookkeeping counters may differ.
     """
-    heap_pool = _run_event_pool(True, **config, **POOL_KWARGS)
-    scan_pool = _run_event_pool(False, **config, **POOL_KWARGS)
+    heap_pool = _run_event_pool(**config, **POOL_KWARGS)
+    with monkeypatch.context() as patch:
+        patch.setattr(PoolScheduler, "run", run_scan)
+        scan_pool = _run_event_pool(**config, **POOL_KWARGS)
 
     assert _game_records(heap_pool) == _game_records(scan_pool)
     assert [run.total_time_us for run in heap_pool.runs] == \

@@ -1,5 +1,6 @@
 """TraceDB subsystem tests: streaming writes, filtered queries, map-reduce."""
 
+import json
 import warnings
 
 import pytest
@@ -8,11 +9,12 @@ from repro.minigo.workers import SelfPlayPool, WorkerRun
 from repro.minigo.selfplay import SelfPlayResult
 from repro.profiler import analyze, analyze_db, multi_process_summary, multi_process_summary_db
 from repro.profiler.api import Profiler, ProfilerConfig
-from repro.profiler.events import CATEGORY_BACKEND, CATEGORY_GPU, Event, EventTrace
+from repro.profiler.events import CATEGORY_BACKEND, CATEGORY_GPU, Event, EventTrace, OverheadMarker
 from repro.profiler.overlap import OverlapResult, compute_overlap
 from repro.system import System
-from repro.tracedb import StreamingTraceWriter, TraceDB, parallel_overlap
+from repro.tracedb import INDEX_FILE, StreamingTraceWriter, TraceDB, parallel_overlap
 from repro.tracedb.cli import main as trace_main
+from repro.tracedb.format import read_chunk
 
 
 # ------------------------------------------------------------------ fixtures
@@ -72,6 +74,12 @@ def test_streaming_requires_trace_dir():
         Profiler(System.create(seed=0), streaming=True)
 
 
+def test_trace_dir_requires_streaming(tmp_path):
+    """A trace directory is only written by a streaming profiler."""
+    with pytest.raises(ValueError):
+        Profiler(System.create(seed=0), trace_dir=str(tmp_path))
+
+
 def test_analyze_db_matches_in_memory_analysis(tmp_path):
     sys_a = System.create(seed=0)
     prof_a = run_profiled_session(sys_a)
@@ -101,8 +109,24 @@ def populated_store(tmp_path):
     return TraceDB(str(tmp_path))
 
 
+def _with_parent_format_index(db):
+    """Rewrite the store's index entries as the previous format wrote them:
+    each chunk entry carried a ``"legacy": false`` flag."""
+    path = db.directory / INDEX_FILE
+    index = json.loads(path.read_text(encoding="utf-8"))
+    for entry in index["workers"].values():
+        for meta in entry["chunks"]:
+            meta["legacy"] = False
+    path.write_text(json.dumps(index, indent=2), encoding="utf-8")
+    return TraceDB(str(db.directory))
+
+
 def test_filtered_queries(populated_store):
-    db = populated_store
+    for db in (populated_store, _with_parent_format_index(populated_store)):
+        _check_filtered_queries(db)
+
+
+def _check_filtered_queries(db):
     assert db.workers() == ["w0", "w1"]
     assert db.count_events() == 16
     assert db.count_events(worker="w0") == 8
@@ -138,6 +162,82 @@ def test_chunk_skipping_uses_index_statistics(tmp_path):
 
     db2 = TraceDB(str(tmp_path), cache_chunks=1)
     assert db2.query(start_us=0.0, end_us=350.0) and db2.chunks_loaded == 1
+
+
+def test_read_chunk_rejects_non_jsonl_files(tmp_path):
+    """Only .jsonl / .jsonl.gz files are chunks; anything else is named in the error."""
+    path = tmp_path / "trace_chunk_worker_0_00000.json"
+    path.write_text(json.dumps({"events": []}), encoding="utf-8")
+    with pytest.raises(ValueError, match="trace_chunk_worker_0_00000.json"):
+        read_chunk(path)
+
+
+# ------------------------------------------------------------ store writing
+def make_trace(worker, *, num_events=10):
+    trace = EventTrace(metadata={"worker": worker, "total_time_us": float(num_events * 10)})
+    for i in range(num_events):
+        trace.add_event(Event(category="Backend", name=f"op_{i}", start_us=10.0 * i,
+                              end_us=10.0 * i + 5.0, worker=worker))
+    trace.add_event(Event(category="Operation", name="step", start_us=0.0,
+                          end_us=10.0 * num_events, worker=worker))
+    trace.add_marker(OverheadMarker(kind="annotation", time_us=1.0, worker=worker))
+    return trace
+
+
+def test_multi_worker_index_merging(tmp_path):
+    """Separate writers for separate workers merge into one store index."""
+    trace_a, trace_b = make_trace("worker_a", num_events=7), make_trace("worker_b", num_events=5)
+    StreamingTraceWriter(str(tmp_path)).write_trace("worker_a", trace_a)
+    StreamingTraceWriter(str(tmp_path)).write_trace("worker_b", trace_b)
+
+    db = TraceDB(str(tmp_path))
+    assert db.workers() == ["worker_a", "worker_b"]
+    loaded = db.read_all()
+    assert loaded["worker_a"].total_events() == trace_a.total_events()
+    assert loaded["worker_b"].total_events() == trace_b.total_events()
+    assert loaded["worker_b"].metadata["worker"] == "worker_b"
+    # The second writer must not clobber the first worker's entry.
+    assert len(loaded["worker_a"].markers) == 1
+
+
+def test_empty_trace_roundtrip(tmp_path):
+    """Closing an empty shard still registers the worker in the index."""
+    StreamingTraceWriter(str(tmp_path)).write_trace(
+        "worker_0", EventTrace(metadata={"worker": "worker_0"}))
+    db = TraceDB(str(tmp_path))
+    assert db.workers() == ["worker_0"]
+    assert db.chunks() == []
+    loaded = db.read_worker("worker_0")
+    assert loaded.total_events() == 0
+    assert loaded.markers == []
+    assert loaded.metadata["worker"] == "worker_0"
+
+
+def test_chunk_boundary_splits(tmp_path):
+    """chunk_events smaller than the record count produces multiple chunks."""
+    trace = make_trace("worker_0", num_events=25)
+    StreamingTraceWriter(str(tmp_path), chunk_events=8).write_trace("worker_0", trace)
+    db = TraceDB(str(tmp_path))
+    chunks = db.chunks()
+    assert len(chunks) > 1
+    # Record counts across chunks add up to the full trace.
+    assert sum(c.num_events for c in chunks) == len(trace.events)
+    assert sum(c.num_operations for c in chunks) == len(trace.operations)
+    assert sum(c.num_markers for c in chunks) == len(trace.markers)
+    loaded = db.read_worker("worker_0")
+    assert loaded.total_events() == trace.total_events()
+    assert sorted(e.name for e in loaded.events) == sorted(e.name for e in trace.events)
+
+
+def test_repeat_dump_appends_chunks(tmp_path):
+    """A writer that reopens a closed worker shard keeps its earlier chunks readable."""
+    writer = StreamingTraceWriter(str(tmp_path), chunk_events=100)
+    writer.write_trace("worker_0", make_trace("worker_0", num_events=4))
+    writer.write_trace("worker_0", make_trace("worker_0", num_events=6))
+    db = TraceDB(str(tmp_path))
+    assert [meta.seq for meta in db.chunks()] == [0, 1]
+    # 4 + 6 backend events + 2 operation events.
+    assert db.read_worker("worker_0").total_events() == 12
 
 
 # ---------------------------------------------------------------- map-reduce
