@@ -98,9 +98,6 @@ class Cupti:
         """Register a callback invoked for every API record while enabled."""
         self._api_callbacks.append(callback)
 
-    def unsubscribe_api(self, callback: ApiCallback) -> None:
-        self._api_callbacks.remove(callback)
-
     # --------------------------------------------------------------- records
     def next_correlation_id(self) -> int:
         cid = self._next_correlation_id

@@ -10,23 +10,17 @@ from .common import (
 )
 from .batchsweep import (
     DEFAULT_LEAF_BATCHES,
-    BatchSweepPoint,
-    BatchSweepResult,
     run_batch_sweep,
 )
 from .schedsweep import (
     DEFAULT_SCHED_LEAF_BATCHES,
     DEFAULT_SCHED_WORKERS,
-    SchedSweepPoint,
-    SchedSweepResult,
     run_sched_sweep,
 )
 from .replicasweep import (
     DEFAULT_REPLICA_COUNTS,
     DEFAULT_REPLICA_ROUTINGS,
     DEFAULT_REPLICA_WORKERS,
-    ReplicaSweepPoint,
-    ReplicaSweepResult,
     inference_bound_cost_config,
     run_replica_sweep,
 )
@@ -35,8 +29,6 @@ from .cachesweep import (
     DEFAULT_CACHE_KWARGS,
     DEFAULT_CACHE_REPLICAS,
     DEFAULT_CACHE_WORKERS,
-    CacheSweepPoint,
-    CacheSweepResult,
     run_cache_sweep,
 )
 from .faultsweep import (
@@ -44,8 +36,6 @@ from .faultsweep import (
     DEFAULT_FAULT_POLICIES,
     DEFAULT_FAULT_RATES,
     DEFAULT_FAULT_REPLICAS,
-    FaultSweepPoint,
-    FaultSweepResult,
     run_fault_sweep,
 )
 from .servesweep import (
@@ -54,8 +44,6 @@ from .servesweep import (
     DEFAULT_SERVE_OVERLOADS,
     DEFAULT_SERVE_REPLICAS,
     SERVE_ARRIVALS,
-    ServeSweepPoint,
-    ServeSweepResult,
     run_serve_sweep,
 )
 from .zoosweep import (
@@ -64,8 +52,6 @@ from .zoosweep import (
     DEFAULT_ZOO_SIMS,
     DEFAULT_ZOO_STEPS,
     DEFAULT_ZOO_WORKERS,
-    ZooSweepPoint,
-    ZooSweepResult,
     run_zoo_sweep,
 )
 from .fig4 import FRAMEWORKS_BY_ALGO, Fig4Result, run_fig4
@@ -94,50 +80,36 @@ __all__ = [
     "calibration_runner",
     "run_workload",
     "DEFAULT_LEAF_BATCHES",
-    "BatchSweepPoint",
-    "BatchSweepResult",
     "run_batch_sweep",
     "DEFAULT_SCHED_LEAF_BATCHES",
     "DEFAULT_SCHED_WORKERS",
-    "SchedSweepPoint",
-    "SchedSweepResult",
     "run_sched_sweep",
     "DEFAULT_REPLICA_COUNTS",
     "DEFAULT_REPLICA_ROUTINGS",
     "DEFAULT_REPLICA_WORKERS",
-    "ReplicaSweepPoint",
-    "ReplicaSweepResult",
     "inference_bound_cost_config",
     "run_replica_sweep",
     "DEFAULT_CACHE_EVAL_GAMES",
     "DEFAULT_CACHE_KWARGS",
     "DEFAULT_CACHE_REPLICAS",
     "DEFAULT_CACHE_WORKERS",
-    "CacheSweepPoint",
-    "CacheSweepResult",
     "run_cache_sweep",
     "DEFAULT_FAULT_KWARGS",
     "DEFAULT_FAULT_POLICIES",
     "DEFAULT_FAULT_RATES",
     "DEFAULT_FAULT_REPLICAS",
-    "FaultSweepPoint",
-    "FaultSweepResult",
     "run_fault_sweep",
     "DEFAULT_SERVE_KWARGS",
     "DEFAULT_SERVE_MULTIPLIERS",
     "DEFAULT_SERVE_OVERLOADS",
     "DEFAULT_SERVE_REPLICAS",
     "SERVE_ARRIVALS",
-    "ServeSweepPoint",
-    "ServeSweepResult",
     "run_serve_sweep",
     "DEFAULT_ZOO_ALGOS",
     "DEFAULT_ZOO_REPLICAS",
     "DEFAULT_ZOO_SIMS",
     "DEFAULT_ZOO_STEPS",
     "DEFAULT_ZOO_WORKERS",
-    "ZooSweepPoint",
-    "ZooSweepResult",
     "run_zoo_sweep",
     "FRAMEWORKS_BY_ALGO",
     "Fig4Result",

@@ -11,143 +11,73 @@ engine calls at larger batches is attributable to coalescing alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-from ..minigo.workers import SelfPlayPool
-from ..profiler.events import merge_traces
-from ..profiler.overlap import (
-    RESOURCE_CPU,
-    RESOURCE_CPU_GPU,
-    RESOURCE_GPU,
-    compute_overlap,
-)
+from .sweep import Sweep, SweepResult, selfplay_cell
 
 #: The sweep the paper-style report covers.
 DEFAULT_LEAF_BATCHES = (1, 4, 16, 64)
 
 
-@dataclass
-class BatchSweepPoint:
-    """One leaf_batch setting's measurements."""
-
-    leaf_batch: int
-    engine_calls: int        #: batched network calls issued by the service
-    rows: int                #: leaf positions evaluated
-    moves: int               #: self-play moves generated across the pool
-    span_us: float           #: parallel collection span (slowest worker)
-    cpu_only_us: float
-    gpu_only_us: float
-    cpu_gpu_us: float
-
-    @property
-    def mean_batch_rows(self) -> float:
-        return self.rows / self.engine_calls if self.engine_calls else 0.0
-
-    @property
-    def moves_per_sec(self) -> float:
-        return self.moves / (self.span_us / 1e6) if self.span_us > 0 else 0.0
-
-    @property
-    def overlap_fraction(self) -> float:
-        """Fraction of tracked time where CPU and GPU were busy together."""
-        total = self.cpu_only_us + self.gpu_only_us + self.cpu_gpu_us
-        return self.cpu_gpu_us / total if total > 0 else 0.0
+def _baseline(result):
+    """The smallest-batch point of the sweep (leaf_batch=1 = per-leaf)."""
+    return min(result.points, key=lambda point: point.leaf_batch)
 
 
-@dataclass
-class BatchSweepResult:
-    points: List[BatchSweepPoint]
-
-    def point(self, leaf_batch: int) -> BatchSweepPoint:
-        for point in self.points:
-            if point.leaf_batch == leaf_batch:
-                return point
-        raise KeyError(f"no sweep point for leaf_batch={leaf_batch}")
-
-    @property
-    def baseline(self) -> BatchSweepPoint:
-        """The smallest-batch point of the sweep (leaf_batch=1 = per-leaf)."""
-        return min(self.points, key=lambda point: point.leaf_batch)
-
-    def call_reduction(self, leaf_batch: int) -> float:
-        """How many times fewer engine calls than the per-leaf baseline,
-        normalised per evaluated row (trajectories differ across batches)."""
-        base = self.baseline
-        point = self.point(leaf_batch)
-        base_calls_per_row = base.engine_calls / max(base.rows, 1)
-        point_calls_per_row = point.engine_calls / max(point.rows, 1)
-        return base_calls_per_row / point_calls_per_row if point_calls_per_row else 0.0
-
-    def speedup(self, leaf_batch: int) -> float:
-        base = self.baseline
-        return base.span_us / self.point(leaf_batch).span_us if self.point(leaf_batch).span_us else 0.0
-
-    def report(self) -> str:
-        header = (f"{'leaf_batch':>10} {'engine calls':>12} {'mean batch':>10} "
-                  f"{'calls/row x':>11} {'span (s)':>9} {'moves/s':>8} "
-                  f"{'CPU-only %':>10} {'CPU+GPU %':>9} {'GPU-only %':>10}")
-        lines = ["Batch-size sweep: batched cross-worker inference (shared engine)", header]
-        for point in self.points:
-            total = point.cpu_only_us + point.gpu_only_us + point.cpu_gpu_us
-            pct = (lambda v: 100.0 * v / total if total > 0 else 0.0)
-            lines.append(
-                f"{point.leaf_batch:>10d} {point.engine_calls:>12d} {point.mean_batch_rows:>10.2f} "
-                f"{self.call_reduction(point.leaf_batch):>10.1f}x {point.span_us / 1e6:>9.3f} "
-                f"{point.moves_per_sec:>8.1f} {pct(point.cpu_only_us):>10.1f} "
-                f"{pct(point.cpu_gpu_us):>9.1f} {pct(point.gpu_only_us):>10.1f}")
-        best = max(self.points, key=lambda point: point.leaf_batch)
-        base = self.baseline
-        base_label = ("per-leaf evaluation" if base.leaf_batch == 1
-                      else f"the leaf_batch={base.leaf_batch} baseline")
-        lines.append(
-            f"largest batch ({best.leaf_batch}): {self.call_reduction(best.leaf_batch):.1f}x fewer "
-            f"engine calls per row, {self.speedup(best.leaf_batch):.2f}x collection speedup "
-            f"vs {base_label}")
-        return "\n".join(lines)
+def call_reduction(result, leaf_batch: int) -> float:
+    """How many times fewer engine calls than the per-leaf baseline,
+    normalised per evaluated row (trajectories differ across batches)."""
+    base = _baseline(result)
+    point = result.point(leaf_batch)
+    base_calls_per_row = base.engine_calls / max(base.rows, 1)
+    point_calls_per_row = point.engine_calls / max(point.rows, 1)
+    return base_calls_per_row / point_calls_per_row if point_calls_per_row else 0.0
 
 
-def run_batch_sweep(
-    leaf_batches: Sequence[int] = DEFAULT_LEAF_BATCHES,
-    *,
-    num_workers: int = 4,
-    board_size: int = 5,
-    num_simulations: int = 16,
-    games_per_worker: int = 1,
-    max_moves: Optional[int] = 10,
-    hidden: tuple = (32, 32),
-    inference_max_batch: int = 64,
-    seed: int = 0,
-) -> BatchSweepResult:
-    """Run the pool once per leaf_batch value and collect the sweep table."""
+def speedup(result, leaf_batch: int) -> float:
+    span_us = result.point(leaf_batch).span_us
+    return _baseline(result).span_us / span_us if span_us else 0.0
+
+
+def _row(result, point):
+    total = point.cpu_only_us + point.gpu_only_us + point.cpu_gpu_us
+    pct = (lambda v: 100.0 * v / total if total > 0 else 0.0)
+    yield (f"{point.leaf_batch:>10d} {point.engine_calls:>12d} {point.mean_batch_rows:>10.2f} "
+           f"{call_reduction(result, point.leaf_batch):>10.1f}x {point.span_us / 1e6:>9.3f} "
+           f"{point.moves_per_sec:>8.1f} {pct(point.cpu_only_us):>10.1f} "
+           f"{pct(point.cpu_gpu_us):>9.1f} {pct(point.gpu_only_us):>10.1f}")
+
+
+def _notes(result):
+    best = max(result.points, key=lambda point: point.leaf_batch)
+    base = _baseline(result)
+    base_label = ("per-leaf evaluation" if base.leaf_batch == 1
+                  else f"the leaf_batch={base.leaf_batch} baseline")
+    return [f"largest batch ({best.leaf_batch}): {call_reduction(result, best.leaf_batch):.1f}x "
+            f"fewer engine calls per row, {speedup(result, best.leaf_batch):.2f}x collection "
+            f"speedup vs {base_label}"]
+
+
+BATCH_SWEEP = Sweep(
+    "batch sweep", key=("leaf_batch",),
+    defaults=dict(num_workers=4, board_size=5, num_simulations=16, games_per_worker=1,
+                  max_moves=10, hidden=(32, 32), inference_max_batch=64, seed=0),
+    title=lambda result: ["Batch-size sweep: batched cross-worker inference (shared engine)"],
+    header=(f"{'leaf_batch':>10} {'engine calls':>12} {'mean batch':>10} "
+            f"{'calls/row x':>11} {'span (s)':>9} {'moves/s':>8} "
+            f"{'CPU-only %':>10} {'CPU+GPU %':>9} {'GPU-only %':>10}"),
+    row=_row, notes=_notes,
+    methods=dict(call_reduction=call_reduction, speedup=speedup))
+
+
+def run_batch_sweep(leaf_batches: Sequence[int] = DEFAULT_LEAF_BATCHES,
+                    **overrides) -> SweepResult:
+    """Run the pool once per leaf_batch value and collect the sweep table.
+
+    ``overrides`` replace the pool shape in ``BATCH_SWEEP.defaults``.
+    """
+    options = BATCH_SWEEP.options(overrides)
     if not leaf_batches:
         raise ValueError("leaf_batches must not be empty")
-    points: List[BatchSweepPoint] = []
-    for leaf_batch in leaf_batches:
-        pool = SelfPlayPool(
-            num_workers,
-            board_size=board_size,
-            num_simulations=num_simulations,
-            games_per_worker=games_per_worker,
-            max_moves=max_moves,
-            hidden=hidden,
-            profile=True,
-            seed=seed,
-            batched_inference=True,
-            leaf_batch=leaf_batch,
-            inference_max_batch=inference_max_batch,
-        )
-        pool.run()
-        stats = pool.inference_service.stats
-        overlap = compute_overlap(merge_traces(run.trace for run in pool.runs))
-        points.append(BatchSweepPoint(
-            leaf_batch=leaf_batch,
-            engine_calls=stats.engine_calls,
-            rows=stats.rows,
-            moves=sum(run.result.moves for run in pool.runs),
-            span_us=pool.collection_span_us(),
-            cpu_only_us=overlap.resource_time_us(RESOURCE_CPU, include_untracked=False),
-            gpu_only_us=overlap.resource_time_us(RESOURCE_GPU, include_untracked=False),
-            cpu_gpu_us=overlap.resource_time_us(RESOURCE_CPU_GPU, include_untracked=False),
-        ))
-    return BatchSweepResult(points=points)
+    return BATCH_SWEEP.result(selfplay_cell(leaf_batch=leaf_batch, profile=True, **vars(options))
+                              for leaf_batch in leaf_batches)

@@ -24,10 +24,11 @@ asserts it, plus the reduction floors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Sequence
 
 from ..minigo.training import MinigoConfig, MinigoTraining
+from .sweep import Sweep, SweepResult
 
 DEFAULT_CACHE_WORKERS = (4, 8)
 DEFAULT_CACHE_REPLICAS = (1, 2)
@@ -46,185 +47,88 @@ DEFAULT_CACHE_KWARGS = dict(
 )
 
 
-@dataclass
-class CacheSweepPoint:
-    """One (workers, replicas, evaluation games) cell, cache off vs on."""
-
-    num_workers: int
-    num_replicas: int
-    evaluation_games: int
-    # Self-play phase (the shared batched service).
-    selfplay_calls_off: int
-    selfplay_calls_on: int
-    selfplay_rows_off: int
-    selfplay_rows_on: int
-    selfplay_cache_hits: int
-    selfplay_dedupe_rows: int
-    # Evaluation phase (concurrent games, one service).
-    eval_calls_off: int
-    eval_calls_on: int
-    eval_rows_off: int
-    eval_rows_on: int
-    eval_cache_hits: int
-    eval_dedupe_rows: int
-    # Outcome parity: cached rows are bitwise-equal, so wins must match.
-    wins_off: int
-    wins_on: int
-
-    @property
-    def selfplay_call_reduction(self) -> float:
-        return self.selfplay_calls_off / max(self.selfplay_calls_on, 1)
-
-    @property
-    def selfplay_row_reduction(self) -> float:
-        return self.selfplay_rows_off / max(self.selfplay_rows_on, 1)
-
-    @property
-    def eval_call_reduction(self) -> float:
-        return self.eval_calls_off / max(self.eval_calls_on, 1)
-
-    @property
-    def eval_row_reduction(self) -> float:
-        return self.eval_rows_off / max(self.eval_rows_on, 1)
-
-    @property
-    def wins_match(self) -> bool:
-        return self.wins_off == self.wins_on
+def _row(result, p):
+    wins = (f"{p.wins_off}={p.wins_on}" +
+            (" ok" if p.wins_match else " !!"))
+    yield (f"{p.num_workers:>4d} {p.num_replicas:>4d} {p.evaluation_games:>5d} "
+           f"{p.selfplay_calls_off:>7d} ->{p.selfplay_calls_on:>6d} "
+           f"{p.selfplay_call_reduction:>5.2f}x "
+           f"{p.eval_rows_off:>6d} ->{p.eval_rows_on:>5d} "
+           f"{p.eval_row_reduction:>5.2f}x "
+           f"{p.eval_cache_hits:>5d} {p.eval_dedupe_rows:>6d} {wins:>7}")
 
 
-@dataclass
-class CacheSweepResult:
-    board_size: int
-    num_simulations: int
-    max_moves: int
-    leaf_batch: int
-    cache_capacity: int
-    transposition: bool
-    points: List[CacheSweepPoint]
-
-    def point(self, num_workers: int, num_replicas: int,
-              evaluation_games: int) -> CacheSweepPoint:
-        for point in self.points:
-            if (point.num_workers == num_workers
-                    and point.num_replicas == num_replicas
-                    and point.evaluation_games == evaluation_games):
-                return point
-        raise KeyError(f"no sweep point for workers={num_workers}, "
-                       f"replicas={num_replicas}, eval_games={evaluation_games}")
-
-    def report(self) -> str:
-        header = (f"{'work':>4} {'repl':>4} {'games':>5} "
-                  f"{'selfplay calls':>16} {'red':>6} "
-                  f"{'eval rows':>14} {'red':>6} "
-                  f"{'hits':>5} {'dedupe':>6} {'wins':>7}")
-        lines = [
-            "Cache sweep: evaluation cache off vs on, identical seeds and weights",
-            f"board={self.board_size}, sims={self.num_simulations}, "
-            f"leaf_batch={self.leaf_batch}, max_moves={self.max_moves}, "
-            f"capacity={self.cache_capacity}, "
-            f"transposition={'on' if self.transposition else 'off'}",
-            header,
-        ]
-        for p in self.points:
-            wins = (f"{p.wins_off}={p.wins_on}" +
-                    (" ok" if p.wins_match else " !!"))
-            lines.append(
-                f"{p.num_workers:>4d} {p.num_replicas:>4d} {p.evaluation_games:>5d} "
-                f"{p.selfplay_calls_off:>7d} ->{p.selfplay_calls_on:>6d} "
-                f"{p.selfplay_call_reduction:>5.2f}x "
-                f"{p.eval_rows_off:>6d} ->{p.eval_rows_on:>5d} "
-                f"{p.eval_row_reduction:>5.2f}x "
-                f"{p.eval_cache_hits:>5d} {p.eval_dedupe_rows:>6d} {wins:>7}")
-        lines.append(
-            "note: self-play saves whole engine calls (cached waves never "
-            "depart); the concurrent evaluation round saves engine rows — "
-            "with games alternating colors at period 2, game N's argmax play "
-            "replays game N-2 and its rows are answered from cache")
-        return "\n".join(lines)
+CACHE_SWEEP = Sweep(
+    "cache sweep", key=("num_workers", "num_replicas", "evaluation_games"),
+    defaults=dict(DEFAULT_CACHE_KWARGS, replica_counts=DEFAULT_CACHE_REPLICAS,
+                  evaluation_games=DEFAULT_CACHE_EVAL_GAMES, transposition=True, seed=0),
+    title=lambda result: [
+        "Cache sweep: evaluation cache off vs on, identical seeds and weights",
+        f"board={result.board_size}, sims={result.num_simulations}, "
+        f"leaf_batch={result.leaf_batch}, max_moves={result.max_moves}, "
+        f"capacity={result.cache_capacity}, "
+        f"transposition={'on' if result.transposition else 'off'}"],
+    header=(f"{'work':>4} {'repl':>4} {'games':>5} "
+            f"{'selfplay calls':>16} {'red':>6} "
+            f"{'eval rows':>14} {'red':>6} "
+            f"{'hits':>5} {'dedupe':>6} {'wins':>7}"),
+    row=_row,
+    notes=lambda result: [
+        "note: self-play saves whole engine calls (cached waves never "
+        "depart); the concurrent evaluation round saves engine rows — "
+        "with games alternating colors at period 2, game N's argmax play "
+        "replays game N-2 and its rows are answered from cache"])
 
 
-def run_cache_sweep(
-    worker_counts: Sequence[int] = DEFAULT_CACHE_WORKERS,
-    *,
-    replica_counts: Sequence[int] = DEFAULT_CACHE_REPLICAS,
-    evaluation_games: Sequence[int] = DEFAULT_CACHE_EVAL_GAMES,
-    board_size: int = DEFAULT_CACHE_KWARGS["board_size"],
-    num_simulations: int = DEFAULT_CACHE_KWARGS["num_simulations"],
-    games_per_worker: int = DEFAULT_CACHE_KWARGS["games_per_worker"],
-    max_moves: int = DEFAULT_CACHE_KWARGS["max_moves"],
-    hidden: Tuple[int, ...] = DEFAULT_CACHE_KWARGS["hidden"],
-    leaf_batch: int = DEFAULT_CACHE_KWARGS["leaf_batch"],
-    sgd_steps: int = DEFAULT_CACHE_KWARGS["sgd_steps"],
-    cache_capacity: int = DEFAULT_CACHE_KWARGS["cache_capacity"],
-    transposition: bool = True,
-    seed: int = 0,
-) -> CacheSweepResult:
+def run_cache_sweep(worker_counts: Sequence[int] = DEFAULT_CACHE_WORKERS,
+                    **overrides) -> SweepResult:
     """Run every cell of the grid with the cache off and on.
 
-    Both runs of a cell start from bit-identical initial weights (a fresh
+    ``overrides`` replace entries of ``CACHE_SWEEP.defaults``.  Both runs of
+    a cell start from bit-identical initial weights (a fresh
     :class:`~repro.minigo.training.MinigoTraining` each, same seed), so any
     divergence in win counts would be a real correctness bug, not drift.
     """
+    options = CACHE_SWEEP.options(overrides)
     if not worker_counts or any(w <= 0 for w in worker_counts):
         raise ValueError("worker_counts must be positive")
-    if not replica_counts or any(r <= 0 for r in replica_counts):
+    if not options.replica_counts or any(r <= 0 for r in options.replica_counts):
         raise ValueError("replica_counts must be positive")
-    if not evaluation_games or any(g <= 0 for g in evaluation_games):
+    if not options.evaluation_games or any(g <= 0 for g in options.evaluation_games):
         raise ValueError("evaluation_games must be positive")
-    if cache_capacity <= 0:
+    if options.cache_capacity <= 0:
         raise ValueError("cache_capacity must be positive")
+    shape = {name: getattr(options, name) for name in DEFAULT_CACHE_KWARGS
+             if name != "cache_capacity"}
 
-    def run_round(num_workers: int, num_replicas: int, games: int, *,
-                  cache: bool):
+    def run_round(num_workers: int, num_replicas: int, games: int, *, cache: bool):
         config = MinigoConfig(
-            num_workers=num_workers,
-            board_size=board_size,
-            num_simulations=num_simulations,
-            games_per_worker=games_per_worker,
-            max_moves=max_moves,
-            hidden=hidden,
-            sgd_steps=sgd_steps,
-            evaluation_games=games,
-            profile=False,
-            seed=seed,
-            batched_inference=True,
-            leaf_batch=leaf_batch,
-            num_replicas=num_replicas,
-            scheduler="event",
-            transposition=transposition if cache else False,
-            cache_capacity=cache_capacity if cache else None,
-        )
+            num_workers=num_workers, evaluation_games=games, num_replicas=num_replicas,
+            profile=False, seed=options.seed, batched_inference=True, scheduler="event",
+            transposition=options.transposition if cache else False,
+            cache_capacity=options.cache_capacity if cache else None, **shape)
         return MinigoTraining(config).run_round()
 
-    points: List[CacheSweepPoint] = []
-    for num_workers in worker_counts:
-        for num_replicas in replica_counts:
-            for games in evaluation_games:
-                off = run_round(num_workers, num_replicas, games, cache=False)
-                on = run_round(num_workers, num_replicas, games, cache=True)
-                sp_off, sp_on = off.selfplay_inference_stats, on.selfplay_inference_stats
-                ev_off, ev_on = off.evaluation_inference_stats, on.evaluation_inference_stats
-                points.append(CacheSweepPoint(
-                    num_workers=num_workers,
-                    num_replicas=num_replicas,
-                    evaluation_games=games,
-                    selfplay_calls_off=sp_off.engine_calls,
-                    selfplay_calls_on=sp_on.engine_calls,
-                    selfplay_rows_off=sp_off.rows,
-                    selfplay_rows_on=sp_on.rows,
-                    selfplay_cache_hits=sp_on.cache_hits,
-                    selfplay_dedupe_rows=sp_on.dedupe_rows,
-                    eval_calls_off=ev_off.engine_calls,
-                    eval_calls_on=ev_on.engine_calls,
-                    eval_rows_off=ev_off.rows,
-                    eval_rows_on=ev_on.rows,
-                    eval_cache_hits=ev_on.cache_hits,
-                    eval_dedupe_rows=ev_on.dedupe_rows,
-                    wins_off=off.candidate_wins,
-                    wins_on=on.candidate_wins,
-                ))
-    return CacheSweepResult(
-        board_size=board_size, num_simulations=num_simulations,
-        max_moves=max_moves, leaf_batch=leaf_batch,
-        cache_capacity=cache_capacity, transposition=transposition,
-        points=points)
+    def cell(num_workers: int, num_replicas: int, games: int) -> SimpleNamespace:
+        off = run_round(num_workers, num_replicas, games, cache=False)
+        on = run_round(num_workers, num_replicas, games, cache=True)
+        sp_off, sp_on = off.selfplay_inference_stats, on.selfplay_inference_stats
+        ev_off, ev_on = off.evaluation_inference_stats, on.evaluation_inference_stats
+        return SimpleNamespace(
+            num_workers=num_workers, num_replicas=num_replicas, evaluation_games=games,
+            selfplay_calls_off=sp_off.engine_calls, selfplay_calls_on=sp_on.engine_calls,
+            selfplay_rows_off=sp_off.rows, selfplay_rows_on=sp_on.rows,
+            selfplay_cache_hits=sp_on.cache_hits, selfplay_dedupe_rows=sp_on.dedupe_rows,
+            selfplay_call_reduction=sp_off.engine_calls / max(sp_on.engine_calls, 1),
+            eval_calls_off=ev_off.engine_calls, eval_calls_on=ev_on.engine_calls,
+            eval_rows_off=ev_off.rows, eval_rows_on=ev_on.rows,
+            eval_cache_hits=ev_on.cache_hits, eval_dedupe_rows=ev_on.dedupe_rows,
+            eval_row_reduction=ev_off.rows / max(ev_on.rows, 1),
+            # Cached rows are bitwise-equal, so wins must match.
+            wins_off=off.candidate_wins, wins_on=on.candidate_wins,
+            wins_match=off.candidate_wins == on.candidate_wins)
+
+    return CACHE_SWEEP.result(
+        (cell(num_workers, num_replicas, games) for num_workers in worker_counts
+         for num_replicas in options.replica_counts for games in options.evaluation_games),
+        **vars(options))

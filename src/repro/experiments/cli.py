@@ -1,6 +1,7 @@
 """``rls-experiment``: regenerate a table or figure of the paper from the command line.
 
-Examples::
+Flags follow the experiment name, and each experiment accepts only its own
+flags (``rls-experiment <experiment> --help`` lists them).  Examples::
 
     rls-experiment table1
     rls-experiment fig4 --algo TD3 --timesteps 150
@@ -29,331 +30,243 @@ Examples::
 from __future__ import annotations
 
 import argparse
-from typing import Optional, Sequence
+import pathlib
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
+
+from . import (
+    findings,
+    run_batch_sweep,
+    run_cache_sweep,
+    run_fault_sweep,
+    run_fig4,
+    run_fig5,
+    run_fig7,
+    run_fig8,
+    run_fig11a,
+    run_fig11b,
+    run_replica_sweep,
+    run_sched_sweep,
+    run_serve_sweep,
+    run_table1,
+    run_zoo_sweep,
+    table1,
+)
+from ..minigo.workers import SCHEDULERS
+from ..rl.zoo import ZOO_ALGORITHMS
+from ..rollout.inference import FLUSH_POLICIES, FLUSH_TIMEOUT, ROUTING_POLICIES
+from ..serving import OVERLOAD_POLICIES
+from ..sim import registry
+from .common import DEFAULT_TIMESTEPS
+from .faultsweep import DEFAULT_FAULT_POLICIES
+from .servesweep import SERVE_ARRIVALS
 
 
-def _positive_int_list(noun: str):
-    """argparse type: a comma-separated list of positive integers."""
-    def parse(text: str) -> tuple:
+def _comma_list(noun: str, convert: Callable[[str], Any] = str, *, choices=None,
+                allow_zero: bool = False, single: bool = False):
+    """argparse type: comma-separated ``noun`` — names from ``choices``, or
+    positive (``allow_zero``: non-negative) numbers; ``single`` takes one value."""
+    def parse(text: str):
         try:
-            values = tuple(int(value) for value in text.split(","))
+            values = tuple(convert(value.strip()) for value in text.split(",") if value.strip())
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-        if not values or any(value <= 0 for value in values):
-            raise argparse.ArgumentTypeError(f"{noun} must be positive, got {text!r}")
-        return values
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+        if choices is not None:
+            bad = [value for value in values if value not in choices]
+            if bad:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {noun} {bad}; choose from {', '.join(choices)}")
+        elif any(value < 0 or (value == 0 and not allow_zero) for value in values):
+            raise argparse.ArgumentTypeError(
+                f"{noun} must be {'non-negative' if allow_zero else 'positive'}, got {text!r}")
+        if single and len(values) > 1:
+            raise argparse.ArgumentTypeError(f"expected a single value for {noun}, got {text!r}")
+        return values[0] if single else values
     return parse
 
 
-def _positive_float_list(noun: str):
-    """argparse type: a comma-separated list of positive floats."""
-    def parse(text: str) -> tuple:
-        try:
-            values = tuple(float(value) for value in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-        if not values or any(value <= 0 for value in values):
-            raise argparse.ArgumentTypeError(f"{noun} must be positive, got {text!r}")
-        return values
-    return parse
+#: Every flag, keyed by the run option it sets: (flag, add_argument kwargs).
+ARGS = {
+    "seed": ("--seed", dict(type=int, help="random seed (default: 0)")),
+    "timesteps": ("--timesteps", dict(type=int, help="steps per workload")),
+    "steps_per_worker": ("--timesteps", dict(type=int, help="env steps per worker")),
+    "algo": ("--algo", dict(help="algorithm of the panel (TD3 or DDPG; default: TD3)")),
+    "scheduler": ("--scheduler", dict(choices=SCHEDULERS,
+                                      help="self-play scheduler (event implies batched inference)")),
+    "leaf_batches": ("--leaf-batches", dict(type=_comma_list("leaf batch sizes", int),
+                                            help="comma-separated leaf batch sizes")),
+    "leaf_batch": ("--leaf-batches", dict(type=_comma_list("leaf batch sizes", int, single=True),
+                                          help="one leaf batch size")),
+    "num_workers": ("--workers", dict(type=int, help="self-play workers")),
+    "worker_counts": ("--worker-counts", dict(type=_comma_list("worker counts", int),
+                                              help="comma-separated worker counts")),
+    "num_replicas": ("--replicas", dict(type=_comma_list("replica counts", int, single=True),
+                                        help="one inference replica count")),
+    "replica_counts": ("--replicas", dict(type=_comma_list("replica counts", int),
+                                          help="comma-separated inference replica counts")),
+    "routing": ("--routing", dict(choices=ROUTING_POLICIES, help="replica routing policy")),
+    "flush_policy": ("--flush-policy", dict(choices=FLUSH_POLICIES,
+                                            help="how the event-driven scheduler departs "
+                                                 "inference batches")),
+    "flush_timeout_us": ("--timeout-us", dict(type=float,
+                                              help="partial-batch deadline in virtual us "
+                                                   "(flush policy 'timeout')")),
+    "multipliers": ("--rates", dict(type=_comma_list("rate multipliers", float),
+                                    help="arrival rates as comma-separated multiples of "
+                                         "measured capacity")),
+    "num_clients": ("--clients", dict(type=int, help="synthetic client count")),
+    "arrival": ("--arrival", dict(choices=SERVE_ARRIVALS, help="arrival process")),
+    "overloads": ("--overloads", dict(type=_comma_list("overload policies",
+                                                       choices=("none", *OVERLOAD_POLICIES)),
+                                      help="comma-separated overload policies")),
+    "sims": ("--sims", dict(type=_comma_list("simulators",
+                                             choices=registry.available_simulators()),
+                            help="comma-separated simulators")),
+    "algorithms": ("--algos", dict(type=_comma_list("algorithm families",
+                                                    choices=tuple(ZOO_ALGORITHMS)),
+                                   help="comma-separated algorithm families")),
+    "trace_dir": ("--trace-dir", dict(help="stream every batched cell's profiler trace "
+                                           "into per-cell TraceDB directories under this path")),
+    "evaluation_games": ("--eval-games", dict(type=_comma_list("evaluation game counts", int),
+                                              help="comma-separated evaluation-round sizes")),
+    "crash_rates": ("--fault-rates", dict(type=_comma_list("fault rates", float, allow_zero=True),
+                                          help="comma-separated replica crash rates per "
+                                               "virtual second; 0 is the fault-free control")),
+    "policies": ("--fault-policies", dict(type=_comma_list("fault policies",
+                                                           choices=DEFAULT_FAULT_POLICIES),
+                                          help="comma-separated admission arms")),
+}
 
 
-def _nonnegative_float_list(noun: str):
-    """argparse type: a comma-separated list of non-negative floats."""
-    def parse(text: str) -> tuple:
-        try:
-            values = tuple(float(value) for value in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-        if not values or any(value < 0 for value in values):
-            raise argparse.ArgumentTypeError(f"{noun} must be non-negative, got {text!r}")
-        return values
-    return parse
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: its report function and the ``ARGS`` options it takes."""
+
+    help: str
+    run: Callable[..., str]                   #: options -> report text
+    options: Tuple[str, ...] = ()
+    quick: Optional[Mapping[str, Any]] = None  #: the ``--quick`` grid (CI smoke)
+    out: Optional[str] = None                  #: default ``--out`` report path
 
 
-_leaf_batch_list = _positive_int_list("leaf batch sizes")
-_replica_list = _positive_int_list("replica counts")
-_rate_list = _positive_float_list("rate multipliers")
-_fault_rate_list = _nonnegative_float_list("fault rates")
+def _report(run: Callable[..., Any]) -> Callable[..., str]:
+    return lambda **options: run(**options).report()
 
 
-def _name_list(text: str) -> tuple:
-    values = tuple(value.strip() for value in text.split(",") if value.strip())
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated names, got {text!r}")
-    return values
+def _replica_sweep(num_workers=None, routing=None, flush_policy=None, **options) -> str:
+    """``--workers``/``--routing`` pin one grid value; a non-timeout
+    ``--flush-policy`` drops the default partial-batch timeout."""
+    if num_workers is not None:
+        options["worker_counts"] = (num_workers,)
+    if routing is not None:
+        options["routings"] = (routing,)
+    if flush_policy is not None:
+        options["flush_policy"] = flush_policy
+        if flush_policy != FLUSH_TIMEOUT:
+            options.setdefault("flush_timeout_us", None)
+    return run_replica_sweep(**options).report()
 
 
-def _overload_list(text: str) -> tuple:
-    values = tuple(value.strip() for value in text.split(","))
-    allowed = ("none", "block", "shed-newest", "shed-oldest", "deadline-drop")
-    bad = [value for value in values if value not in allowed]
-    if bad:
-        raise argparse.ArgumentTypeError(
-            f"unknown overload policies {bad}; choose from {', '.join(allowed)}")
-    return values
+def _findings(timesteps: int = DEFAULT_TIMESTEPS, seed: int = 0) -> str:
+    checks = findings.check_all(
+        fig4_td3=run_fig4("TD3", timesteps=timesteps, seed=seed),
+        fig4_ddpg=run_fig4("DDPG", timesteps=timesteps, seed=seed),
+        fig5=run_fig5(timesteps=timesteps, seed=seed),
+        fig7=run_fig7(timesteps=timesteps, seed=seed),
+        fig8=run_fig8())
+    return "\n".join(str(finding) for finding in checks.values())
+
+
+_WORKLOAD = ("timesteps", "seed")
+
+EXPERIMENTS = {
+    "table1": Experiment("Table 1: RL framework configurations",
+                         lambda: table1.report(run_table1())),
+    "fig4": Experiment("Figure 4: RL framework comparison", _report(run_fig4),
+                       ("algo", *_WORKLOAD)),
+    "fig5": Experiment("Figure 5: RL algorithm survey", _report(run_fig5), _WORKLOAD),
+    "fig7": Experiment("Figure 7: simulator survey", _report(run_fig7), _WORKLOAD),
+    "fig8": Experiment("Figure 8: Minigo multi-process view", _report(run_fig8),
+                       ("scheduler", "flush_policy", "flush_timeout_us", "num_replicas",
+                        "routing")),
+    "fig11a": Experiment("Figure 11a: overhead correction across algorithms",
+                         _report(run_fig11a), _WORKLOAD),
+    "fig11b": Experiment("Figure 11b: overhead correction across simulators",
+                         _report(run_fig11b), _WORKLOAD),
+    "batchsweep": Experiment("batched inference vs per-leaf evaluation",
+                             _report(run_batch_sweep), ("leaf_batches", "seed")),
+    "schedsweep": Experiment("sequential vs event-driven pool scheduler",
+                             _report(run_sched_sweep),
+                             ("leaf_batches", "num_workers", "num_replicas", "routing",
+                              "flush_policy", "flush_timeout_us", "seed")),
+    "replicasweep": Experiment("sharded inference over replicas x workers x routing",
+                               _replica_sweep,
+                               ("replica_counts", "num_workers", "routing", "leaf_batch",
+                                "flush_policy", "flush_timeout_us", "seed")),
+    "servesweep": Experiment(
+        "serving tier under open-loop overload", _report(run_serve_sweep),
+        ("multipliers", "overloads", "replica_counts", "num_clients", "arrival", "seed"),
+        quick=dict(multipliers=(0.5, 2.0), overloads=("none", "shed-newest"),
+                   replica_counts=(1,), num_clients=64, horizon_us=10_000.0),
+        out="results/serve_sweep.txt"),
+    "zoosweep": Experiment(
+        "every sim x algorithm through the batched rollout stack", _report(run_zoo_sweep),
+        ("sims", "algorithms", "worker_counts", "replica_counts", "steps_per_worker",
+         "trace_dir", "seed"),
+        quick=dict(sims=("Pong", "Hopper"), worker_counts=(4,), replica_counts=(1,),
+                   steps_per_worker=6),
+        out="results/zoo_sweep.txt"),
+    "cachesweep": Experiment(
+        "evaluation cache off vs on", _report(run_cache_sweep),
+        ("worker_counts", "replica_counts", "evaluation_games", "seed"),
+        quick=dict(worker_counts=(2,), replica_counts=(1,), evaluation_games=(2,),
+                   max_moves=4),
+        out="results/cache_sweep.txt"),
+    "faultsweep": Experiment(
+        "serving tier under injected replica faults", _report(run_fault_sweep),
+        ("crash_rates", "policies", "replica_counts", "num_clients", "seed"),
+        quick=dict(crash_rates=(0.0, 150.0), replica_counts=(4,), num_clients=64,
+                   horizon_us=15_000.0),
+        out="results/fault_sweep.txt"),
+    "findings": Experiment("run everything and check findings F.1-F.12", _findings,
+                           _WORKLOAD),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rls-experiment", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("experiment",
-                        choices=["table1", "fig4", "fig5", "fig7", "fig8", "fig11a", "fig11b",
-                                 "batchsweep", "schedsweep", "replicasweep", "servesweep",
-                                 "zoosweep", "cachesweep", "faultsweep", "findings"])
-    parser.add_argument("--algo", default="TD3", help="algorithm for fig4 (TD3 or DDPG)")
-    parser.add_argument("--timesteps", type=int, default=None, help="steps per workload (default: experiment-specific)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--leaf-batches", type=_leaf_batch_list, default=None,
-                        help="comma-separated leaf batch sizes for batchsweep/schedsweep "
-                             "(defaults: 1,4,16,64 / 1,4,8)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="self-play workers for schedsweep/replicasweep (default: 8 / 4,8)")
-    parser.add_argument("--replicas", type=_replica_list, default=None,
-                        help="inference replicas: a single count for fig8/schedsweep, a "
-                             "comma-separated list for replicasweep (default: 1 / 1,2,4)")
-    parser.add_argument("--routing", choices=["round-robin", "least-loaded", "sticky"],
-                        default=None,
-                        help="replica routing policy for fig8/schedsweep (replicasweep "
-                             "sweeps every policy unless one is given)")
-    parser.add_argument("--scheduler", choices=["sequential", "event"], default=None,
-                        help="self-play scheduler for fig8 (event implies batched inference)")
-    parser.add_argument("--flush-policy", choices=["max-batch", "timeout", "unbatched"],
-                        default=None,
-                        help="how the event-driven scheduler departs inference batches "
-                             "(fig8/schedsweep default: max-batch; replicasweep default: "
-                             "timeout 50us)")
-    parser.add_argument("--timeout-us", type=float, default=None,
-                        help="partial-batch deadline in virtual us (flush policy 'timeout')")
-    parser.add_argument("--rates", type=_rate_list, default=None,
-                        help="servesweep arrival rates as comma-separated multiples of "
-                             "measured capacity (default: 0.5,1.0,2.0)")
-    parser.add_argument("--clients", type=int, default=None,
-                        help="servesweep synthetic client count (default: 256)")
-    parser.add_argument("--arrival", choices=["poisson", "bursty"], default=None,
-                        help="servesweep arrival process (default: poisson)")
-    parser.add_argument("--overloads", type=_overload_list, default=None,
-                        help="servesweep overload policies, comma-separated from "
-                             "none,block,shed-newest,shed-oldest,deadline-drop "
-                             "(default: all)")
-    parser.add_argument("--sims", type=_name_list, default=None,
-                        help="zoosweep simulators, comma-separated registry names "
-                             "(default: Pong,Hopper,Walker2D,HalfCheetah)")
-    parser.add_argument("--algos", type=_name_list, default=None,
-                        help="zoosweep algorithm families, comma-separated from "
-                             "DQN,PPO,DDPG (default: all)")
-    parser.add_argument("--worker-counts", type=_positive_int_list("worker counts"),
-                        default=None,
-                        help="zoosweep worker-count grid, comma-separated "
-                             "(default: 4,8)")
-    parser.add_argument("--trace-dir", default=None,
-                        help="zoosweep: stream every batched cell's profiler trace "
-                             "into per-cell TraceDB directories under this path")
-    parser.add_argument("--eval-games", type=_positive_int_list("evaluation game counts"),
-                        default=None,
-                        help="cachesweep: evaluation-round sizes, comma-separated "
-                             "(default: 2,4)")
-    parser.add_argument("--fault-rates", type=_fault_rate_list, default=None,
-                        help="faultsweep replica crash rates per virtual second, "
-                             "comma-separated; 0 is the fault-free control "
-                             "(default: 0,50,150)")
-    parser.add_argument("--fault-policies", type=_name_list, default=None,
-                        help="faultsweep admission arms, comma-separated from "
-                             "degrade,full (default: both)")
-    parser.add_argument("--quick", action="store_true",
-                        help="servesweep/zoosweep/cachesweep/faultsweep smoke "
-                             "mode: a small grid (the CI configuration)")
-    parser.add_argument("--out", default=None,
-                        help="servesweep/zoosweep/cachesweep/faultsweep: also "
-                             "write the report to this path (default: "
-                             "results/serve_sweep.txt / results/zoo_sweep.txt / "
-                             "results/cache_sweep.txt / results/fault_sweep.txt)")
+    subparsers = parser.add_subparsers(dest="experiment", metavar="experiment", required=True)
+    for name, experiment in EXPERIMENTS.items():
+        sub = subparsers.add_parser(name, help=experiment.help, description=experiment.help)
+        for option in experiment.options:
+            flag, kwargs = ARGS[option]
+            sub.add_argument(flag, dest=option, **kwargs)
+        if experiment.quick is not None:
+            sub.add_argument("--quick", action="store_true",
+                             help="smoke mode: a small grid (the CI configuration)")
+        if experiment.out is not None:
+            sub.add_argument("--out", default=experiment.out,
+                             help=f"also write the report to this path "
+                                  f"(default: {experiment.out})")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.experiment in ("fig8", "schedsweep") and args.replicas and len(args.replicas) > 1:
-        parser.error(f"{args.experiment} takes a single --replicas count "
-                     "(a list is only meaningful for replicasweep)")
-    if args.experiment == "replicasweep" and args.leaf_batches and len(args.leaf_batches) > 1:
-        parser.error("replicasweep takes a single --leaf-batches value "
-                     "(a list is only meaningful for batchsweep/schedsweep)")
-    from . import (
-        DEFAULT_LEAF_BATCHES, run_batch_sweep,
-        DEFAULT_SCHED_LEAF_BATCHES, DEFAULT_SCHED_WORKERS, run_sched_sweep,
-        DEFAULT_REPLICA_COUNTS, DEFAULT_REPLICA_ROUTINGS, DEFAULT_REPLICA_WORKERS,
-        run_replica_sweep,
-        run_serve_sweep,
-        run_zoo_sweep,
-        run_fig4, run_fig5, run_fig7, run_fig8, run_fig11a, run_fig11b, run_table1, table1, findings,
-    )
-    from .common import DEFAULT_TIMESTEPS
-    from .fig11 import DEFAULT_FIG11_TIMESTEPS
-
-    steps = args.timesteps if args.timesteps is not None else DEFAULT_TIMESTEPS
-    fig11_steps = args.timesteps if args.timesteps is not None else DEFAULT_FIG11_TIMESTEPS
-
-    if args.experiment == "table1":
-        print(table1.report(run_table1()))
-    elif args.experiment == "fig4":
-        print(run_fig4(args.algo, timesteps=steps, seed=args.seed).report())
-    elif args.experiment == "fig5":
-        print(run_fig5(timesteps=steps, seed=args.seed).report())
-    elif args.experiment == "fig7":
-        print(run_fig7(timesteps=steps, seed=args.seed).report())
-    elif args.experiment == "fig8":
-        print(run_fig8(scheduler=args.scheduler, flush_policy=args.flush_policy,
-                       flush_timeout_us=args.timeout_us,
-                       num_replicas=args.replicas[0] if args.replicas else None,
-                       routing=args.routing).report())  # flush_policy=None keeps the config default
-    elif args.experiment == "fig11a":
-        print(run_fig11a(timesteps=fig11_steps, seed=args.seed).report())
-    elif args.experiment == "fig11b":
-        print(run_fig11b(timesteps=fig11_steps, seed=args.seed).report())
-    elif args.experiment == "batchsweep":
-        batches = args.leaf_batches if args.leaf_batches is not None else DEFAULT_LEAF_BATCHES
-        print(run_batch_sweep(batches, seed=args.seed).report())
-    elif args.experiment == "schedsweep":
-        batches = args.leaf_batches if args.leaf_batches is not None else DEFAULT_SCHED_LEAF_BATCHES
-        workers = args.workers if args.workers is not None else DEFAULT_SCHED_WORKERS
-        print(run_sched_sweep(batches, num_workers=workers, seed=args.seed,
-                              num_replicas=args.replicas[0] if args.replicas else 1,
-                              routing=args.routing or "round-robin",
-                              flush_policy=args.flush_policy or "max-batch",
-                              flush_timeout_us=args.timeout_us).report())
-    elif args.experiment == "replicasweep":
-        replicas = args.replicas if args.replicas is not None else DEFAULT_REPLICA_COUNTS
-        worker_counts = (args.workers,) if args.workers is not None else DEFAULT_REPLICA_WORKERS
-        routings = (args.routing,) if args.routing is not None else DEFAULT_REPLICA_ROUTINGS
-        sweep_kwargs = {}
-        if args.leaf_batches is not None:
-            sweep_kwargs["leaf_batch"] = args.leaf_batches[0]
-        if args.flush_policy is not None:
-            sweep_kwargs["flush_policy"] = args.flush_policy
-            if args.flush_policy != "timeout":
-                sweep_kwargs["flush_timeout_us"] = None
-        if args.timeout_us is not None:
-            sweep_kwargs["flush_timeout_us"] = args.timeout_us
-        print(run_replica_sweep(replicas, worker_counts=worker_counts,
-                                routings=routings, seed=args.seed,
-                                **sweep_kwargs).report())
-    elif args.experiment == "servesweep":
-        sweep_kwargs = {}
-        if args.rates is not None:
-            sweep_kwargs["multipliers"] = args.rates
-        if args.overloads is not None:
-            sweep_kwargs["overloads"] = args.overloads
-        if args.replicas is not None:
-            sweep_kwargs["replica_counts"] = args.replicas
-        if args.clients is not None:
-            sweep_kwargs["num_clients"] = args.clients
-        if args.arrival is not None:
-            sweep_kwargs["arrival"] = args.arrival
-        if args.quick:
-            # CI smoke: a 2-point grid over a short trace, small client fleet.
-            sweep_kwargs.setdefault("multipliers", (0.5, 2.0))
-            sweep_kwargs.setdefault("overloads", ("none", "shed-newest"))
-            sweep_kwargs.setdefault("replica_counts", (1,))
-            sweep_kwargs.setdefault("num_clients", 64)
-            sweep_kwargs["horizon_us"] = 10_000.0
-        result = run_serve_sweep(seed=args.seed, **sweep_kwargs)
-        text = result.report()
-        print(text)
-        import pathlib
-        out = pathlib.Path(args.out) if args.out else pathlib.Path("results/serve_sweep.txt")
+    args = build_parser().parse_args(argv)
+    experiment = EXPERIMENTS[args.experiment]
+    options = {name: getattr(args, name) for name in experiment.options
+               if getattr(args, name) is not None}
+    if getattr(args, "quick", False):
+        options = {**experiment.quick, **options}
+    text = experiment.run(**options)
+    print(text)
+    if experiment.out is not None:
+        out = pathlib.Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text + "\n")
-    elif args.experiment == "zoosweep":
-        from .zoosweep import DEFAULT_ZOO_STEPS
-        sweep_kwargs = {}
-        if args.sims is not None:
-            sweep_kwargs["sims"] = args.sims
-        if args.algos is not None:
-            sweep_kwargs["algorithms"] = args.algos
-        if args.worker_counts is not None:
-            sweep_kwargs["worker_counts"] = args.worker_counts
-        if args.replicas is not None:
-            sweep_kwargs["replica_counts"] = args.replicas
-        if args.quick:
-            # CI smoke: two sims, one worker count, single replica.
-            sweep_kwargs.setdefault("sims", ("Pong", "Hopper"))
-            sweep_kwargs.setdefault("worker_counts", (4,))
-            sweep_kwargs.setdefault("replica_counts", (1,))
-            sweep_kwargs.setdefault("steps_per_worker", 6)
-        quick_steps = sweep_kwargs.pop("steps_per_worker", DEFAULT_ZOO_STEPS)
-        steps_per_worker = args.timesteps if args.timesteps is not None else quick_steps
-        result = run_zoo_sweep(seed=args.seed, steps_per_worker=steps_per_worker,
-                               trace_dir=args.trace_dir, **sweep_kwargs)
-        text = result.report()
-        print(text)
-        import pathlib
-        out = pathlib.Path(args.out) if args.out else pathlib.Path("results/zoo_sweep.txt")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-    elif args.experiment == "cachesweep":
-        from . import run_cache_sweep
-        sweep_kwargs = {}
-        if args.worker_counts is not None:
-            sweep_kwargs["worker_counts"] = args.worker_counts
-        if args.replicas is not None:
-            sweep_kwargs["replica_counts"] = args.replicas
-        if args.eval_games is not None:
-            sweep_kwargs["evaluation_games"] = args.eval_games
-        if args.quick:
-            # CI smoke: one small cell, still cache off vs on with the win
-            # parity and reduction columns.
-            sweep_kwargs.setdefault("worker_counts", (2,))
-            sweep_kwargs.setdefault("replica_counts", (1,))
-            sweep_kwargs.setdefault("evaluation_games", (2,))
-            sweep_kwargs.setdefault("max_moves", 4)
-        result = run_cache_sweep(seed=args.seed, **sweep_kwargs)
-        text = result.report()
-        print(text)
-        import pathlib
-        out = pathlib.Path(args.out) if args.out else pathlib.Path("results/cache_sweep.txt")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-    elif args.experiment == "faultsweep":
-        from . import run_fault_sweep
-        sweep_kwargs = {}
-        if args.fault_rates is not None:
-            sweep_kwargs["crash_rates"] = args.fault_rates
-        if args.fault_policies is not None:
-            sweep_kwargs["policies"] = args.fault_policies
-        if args.replicas is not None:
-            sweep_kwargs["replica_counts"] = args.replicas
-        if args.clients is not None:
-            sweep_kwargs["num_clients"] = args.clients
-        if args.quick:
-            # CI smoke: fault-free control vs one faulty cell, both arms,
-            # over a short trace with a small client fleet.
-            sweep_kwargs.setdefault("crash_rates", (0.0, 150.0))
-            sweep_kwargs.setdefault("replica_counts", (4,))
-            sweep_kwargs.setdefault("num_clients", 64)
-            sweep_kwargs["horizon_us"] = 15_000.0
-        crash_rates = sweep_kwargs.pop("crash_rates", None)
-        if crash_rates is not None:
-            result = run_fault_sweep(crash_rates, seed=args.seed, **sweep_kwargs)
-        else:
-            result = run_fault_sweep(seed=args.seed, **sweep_kwargs)
-        text = result.report()
-        print(text)
-        import pathlib
-        out = pathlib.Path(args.out) if args.out else pathlib.Path("results/fault_sweep.txt")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-    elif args.experiment == "findings":
-        fig4_td3 = run_fig4("TD3", timesteps=steps, seed=args.seed)
-        fig4_ddpg = run_fig4("DDPG", timesteps=steps, seed=args.seed)
-        fig5 = run_fig5(timesteps=steps, seed=args.seed)
-        fig7 = run_fig7(timesteps=steps, seed=args.seed)
-        fig8 = run_fig8()
-        checks = findings.check_all(fig4_td3=fig4_td3, fig4_ddpg=fig4_ddpg, fig5=fig5,
-                                    fig7=fig7, fig8=fig8)
-        for finding in checks.values():
-            print(finding)
     return 0
 
 

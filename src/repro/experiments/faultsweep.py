@@ -27,23 +27,12 @@ replays the whole history line-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from types import SimpleNamespace
+from typing import Sequence
 
 from ..faults.plan import FaultPlan
-from ..minigo.selfplay import PolicyValueNet
-from ..serving import (
-    InferenceServer,
-    LoadGenerator,
-    PoissonProcess,
-    RetryPolicy,
-    SLOReport,
-    build_slo_report,
-    estimate_capacity_rows_per_sec,
-    run_serving,
-)
+from ..serving import PoissonProcess, RetryPolicy
+from .sweep import Sweep, SweepResult, serving_capacity, serving_cell
 
 #: Replica crash rates swept (crashes per virtual second of trace); 0 is the
 #: fault-free control every other point is compared against.
@@ -73,165 +62,93 @@ DEFAULT_FAULT_KWARGS = dict(
 )
 
 
-@dataclass
-class FaultSweepPoint:
-    """One (fault rate, policy, replicas) setting's outcome."""
-
-    crash_rate_per_sec: float
-    policy: str               #: "degrade" | "full" (no-degrade control)
-    num_replicas: int
-    rate_per_sec: float       #: offered arrival rate
-    plan_events: int          #: events in the seeded fault plan
-    slo: SLOReport
-
-
-@dataclass
-class FaultSweepResult:
-    board_size: int
-    max_batch: int
-    queue_capacity: int
-    num_clients: int
-    request_deadline_us: float
-    horizon_us: float
-    load_multiplier: float
-    capacity_rows_per_sec: float
-    points: List[FaultSweepPoint]
-
-    def point(self, crash_rate: float, policy: str,
-              num_replicas: int) -> FaultSweepPoint:
-        for point in self.points:
-            if (point.crash_rate_per_sec == crash_rate
-                    and point.policy == policy
-                    and point.num_replicas == num_replicas):
-                return point
-        raise KeyError(f"no sweep point for crash_rate={crash_rate}, "
-                       f"policy={policy!r}, replicas={num_replicas}")
-
-    def report(self) -> str:
-        header = (f"{'faults/s':>8} {'policy':>8} {'repl':>4} {'events':>6} "
-                  f"{'offered/s':>10} {'goodput/s':>10} {'shed%':>6} "
-                  f"{'late%':>6} {'avail%':>7} {'crash':>5} {'redisp':>6} "
-                  f"{'corrupt':>7} {'latency p99 us':>14}")
-        lines = [
-            f"Fault sweep: poisson arrivals from {self.num_clients} clients at "
-            f"{self.load_multiplier:g}x fleet capacity, board={self.board_size}, "
-            f"max_batch={self.max_batch}, window={self.queue_capacity}, "
-            f"deadline {self.request_deadline_us:.0f}us, "
-            f"horizon {self.horizon_us / 1e6:.4f}s",
-            f"measured capacity: {self.capacity_rows_per_sec:.0f} rows/s per "
-            f"replica; crash rate is injected replica crashes per virtual "
-            f"second (with seeded recovery), plus frame loss/corruption",
-            header,
-        ]
-        for point in self.points:
-            slo = point.slo
-            latency = slo.latency_us
-            latency_txt = "n/a" if latency is None else f"{latency[99.0]:.0f}"
-            lines.append(
-                f"{point.crash_rate_per_sec:>8.1f} {point.policy:>8} "
-                f"{point.num_replicas:>4d} {point.plan_events:>6d} "
-                f"{slo.offered_rate_per_sec:>10.1f} {slo.goodput_per_sec:>10.1f} "
-                f"{100.0 * slo.shed_fraction:>5.1f}% "
-                f"{100.0 * slo.timeout_fraction:>5.1f}% "
-                f"{100.0 * slo.availability:>6.2f}% "
-                f"{slo.replica_crashes:>5d} {slo.redispatched_rows:>6d} "
-                f"{slo.corrupt_frames:>7d} {latency_txt:>14}")
-        lines.append(
-            "note: 'full' keeps full-capacity admission while replicas are "
-            "down (the no-degrade control); 'degrade' tightens the ingress "
-            "window and token buckets to surviving capacity, trading early "
-            "sheds for fewer deadline misses on the survivors")
-        return "\n".join(lines)
+def _title(result):
+    return [
+        f"Fault sweep: poisson arrivals from {result.num_clients} clients at "
+        f"{result.load_multiplier:g}x fleet capacity, board={result.board_size}, "
+        f"max_batch={result.max_batch}, window={result.queue_capacity}, "
+        f"deadline {result.request_deadline_us:.0f}us, "
+        f"horizon {result.horizon_us / 1e6:.4f}s",
+        f"measured capacity: {result.capacity_rows_per_sec:.0f} rows/s per "
+        f"replica; crash rate is injected replica crashes per virtual "
+        f"second (with seeded recovery), plus frame loss/corruption",
+    ]
 
 
-def run_fault_sweep(
-    crash_rates: Sequence[float] = DEFAULT_FAULT_RATES,
-    *,
-    policies: Sequence[str] = DEFAULT_FAULT_POLICIES,
-    replica_counts: Sequence[int] = DEFAULT_FAULT_REPLICAS,
-    board_size: int = DEFAULT_FAULT_KWARGS["board_size"],
-    hidden: tuple = DEFAULT_FAULT_KWARGS["hidden"],
-    max_batch: int = DEFAULT_FAULT_KWARGS["max_batch"],
-    queue_capacity: int = DEFAULT_FAULT_KWARGS["queue_capacity"],
-    flush_timeout_us: float = DEFAULT_FAULT_KWARGS["flush_timeout_us"],
-    rate_burst: float = DEFAULT_FAULT_KWARGS["rate_burst"],
-    num_clients: int = DEFAULT_FAULT_KWARGS["num_clients"],
-    request_deadline_us: float = DEFAULT_FAULT_KWARGS["request_deadline_us"],
-    horizon_us: float = DEFAULT_FAULT_KWARGS["horizon_us"],
-    load_multiplier: float = DEFAULT_FAULT_KWARGS["load_multiplier"],
-    mean_downtime_us: float = DEFAULT_FAULT_KWARGS["mean_downtime_us"],
-    frame_loss_per_sec: float = DEFAULT_FAULT_KWARGS["frame_loss_per_sec"],
-    frame_corrupt_per_sec: float = DEFAULT_FAULT_KWARGS["frame_corrupt_per_sec"],
-    retry: Optional[RetryPolicy] = None,
-    seed: int = 0,
-) -> FaultSweepResult:
+def _row(result, point):
+    slo = point.slo
+    latency = slo.latency_us
+    latency_txt = "n/a" if latency is None else f"{latency[99.0]:.0f}"
+    yield (f"{point.crash_rate_per_sec:>8.1f} {point.policy:>8} "
+           f"{point.num_replicas:>4d} {point.plan_events:>6d} "
+           f"{slo.offered_rate_per_sec:>10.1f} {slo.goodput_per_sec:>10.1f} "
+           f"{100.0 * slo.shed_fraction:>5.1f}% "
+           f"{100.0 * slo.timeout_fraction:>5.1f}% "
+           f"{100.0 * slo.availability:>6.2f}% "
+           f"{slo.replica_crashes:>5d} {slo.redispatched_rows:>6d} "
+           f"{slo.corrupt_frames:>7d} {latency_txt:>14}")
+
+
+FAULT_SWEEP = Sweep(
+    "fault sweep", key=("crash_rate_per_sec", "policy", "num_replicas"),
+    defaults=dict(DEFAULT_FAULT_KWARGS, policies=DEFAULT_FAULT_POLICIES,
+                  replica_counts=DEFAULT_FAULT_REPLICAS, retry=None, seed=0),
+    title=_title,
+    header=(f"{'faults/s':>8} {'policy':>8} {'repl':>4} {'events':>6} "
+            f"{'offered/s':>10} {'goodput/s':>10} {'shed%':>6} "
+            f"{'late%':>6} {'avail%':>7} {'crash':>5} {'redisp':>6} "
+            f"{'corrupt':>7} {'latency p99 us':>14}"),
+    row=_row,
+    notes=lambda result: [
+        "note: 'full' keeps full-capacity admission while replicas are "
+        "down (the no-degrade control); 'degrade' tightens the ingress "
+        "window and token buckets to surviving capacity, trading early "
+        "sheds for fewer deadline misses on the survivors"])
+
+
+def run_fault_sweep(crash_rates: Sequence[float] = DEFAULT_FAULT_RATES,
+                    **overrides) -> SweepResult:
     """Run the serving tier over the (fault rate, policy, replicas) grid.
 
-    At each non-zero crash rate the plan is seeded from ``(seed, rate,
+    ``overrides`` replace entries of ``FAULT_SWEEP.defaults``.  At each
+    non-zero crash rate the plan is seeded from ``(seed, rate,
     policy-independent)`` — the *same* plan hits both policy arms, so the
     degrade/full comparison isolates the admission response, not the luck
     of the fault draw.
     """
+    options = FAULT_SWEEP.options(overrides)
     if not crash_rates or any(rate < 0 for rate in crash_rates):
         raise ValueError("crash_rates must be non-negative")
-    unknown = [p for p in policies if p not in ("degrade", "full")]
+    unknown = [p for p in options.policies if p not in DEFAULT_FAULT_POLICIES]
     if unknown:
         raise ValueError(f"unknown fault policies {unknown}")
-    feature_dim = 3 * board_size * board_size
-    retry = retry if retry is not None else RetryPolicy(jitter="decorrelated")
-
-    def make_network():
-        return PolicyValueNet(board_size, hidden=hidden,
-                              rng=np.random.default_rng(seed))
-
-    capacity = estimate_capacity_rows_per_sec(
-        make_network, feature_dim=feature_dim, max_batch=max_batch, seed=seed)
-    points: List[FaultSweepPoint] = []
+    if options.retry is None:
+        options.retry = RetryPolicy(jitter="decorrelated")
+    capacity = serving_capacity(options)
+    points = []
     for crash_rate in crash_rates:
-        for num_replicas in replica_counts:
-            rate = load_multiplier * capacity * num_replicas
+        for num_replicas in options.replica_counts:
+            rate = options.load_multiplier * capacity * num_replicas
             plan = None
             if crash_rate > 0.0:
                 # Mix rate into the plan seed with a large odd stride so
                 # neighbouring (seed, rate) cells get decorrelated draws.
                 plan = FaultPlan.seeded(
-                    (seed + 1) * 100_003 + int(round(crash_rate)),
-                    horizon_us=horizon_us,
+                    (options.seed + 1) * 100_003 + int(round(crash_rate)),
+                    horizon_us=options.horizon_us,
                     num_replicas=num_replicas,
                     crash_rate_per_sec=crash_rate,
-                    mean_downtime_us=mean_downtime_us,
-                    frame_loss_per_sec=frame_loss_per_sec,
-                    frame_corrupt_per_sec=frame_corrupt_per_sec)
-            for policy in policies:
-                server = InferenceServer(
-                    make_network(),
-                    max_batch=max_batch,
-                    queue_capacity=queue_capacity,
-                    overload="shed-newest",
-                    rate_limit_per_sec=None,
-                    rate_burst=rate_burst,
-                    flush_policy="timeout",
-                    flush_timeout_us=flush_timeout_us,
-                    num_replicas=num_replicas,
-                    seed=seed,
-                    name=f"fault_{policy}",
-                    keep_decision_log=False,
-                    fault_plan=plan,
-                    degraded_admission=policy == "degrade")
-                loadgen = LoadGenerator(PoissonProcess(rate), num_clients,
-                                        feature_dim=feature_dim, retry=retry,
-                                        request_deadline_us=request_deadline_us,
-                                        seed=seed)
-                result = run_serving(server, loadgen, horizon_us)
-                label = f"f{crash_rate:g}/{policy}/r{num_replicas}"
-                points.append(FaultSweepPoint(
-                    crash_rate_per_sec=crash_rate, policy=policy,
-                    num_replicas=num_replicas, rate_per_sec=rate,
-                    plan_events=0 if plan is None else len(plan.events),
-                    slo=build_slo_report(result, label=label)))
-    return FaultSweepResult(
-        board_size=board_size, max_batch=max_batch,
-        queue_capacity=queue_capacity, num_clients=num_clients,
-        request_deadline_us=request_deadline_us, horizon_us=horizon_us,
-        load_multiplier=load_multiplier, capacity_rows_per_sec=capacity,
-        points=points)
+                    mean_downtime_us=options.mean_downtime_us,
+                    frame_loss_per_sec=options.frame_loss_per_sec,
+                    frame_corrupt_per_sec=options.frame_corrupt_per_sec)
+            for policy in options.policies:
+                slo = serving_cell(
+                    options, PoissonProcess(rate), num_replicas=num_replicas,
+                    name=f"fault_{policy}", label=f"f{crash_rate:g}/{policy}/r{num_replicas}",
+                    queue_capacity=options.queue_capacity, overload="shed-newest",
+                    fault_plan=plan, degraded_admission=policy == "degrade")
+                points.append(SimpleNamespace(
+                    crash_rate_per_sec=crash_rate, policy=policy, num_replicas=num_replicas,
+                    rate_per_sec=rate, plan_events=0 if plan is None else len(plan.events),
+                    slo=slo))
+    return FAULT_SWEEP.result(points, capacity_rows_per_sec=capacity, **vars(options))

@@ -28,29 +28,17 @@ runs of the same configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from types import SimpleNamespace
+from typing import Sequence
 
-import numpy as np
-
-from ..minigo.selfplay import PolicyValueNet
-from ..serving import (
-    BurstyProcess,
-    InferenceServer,
-    LoadGenerator,
-    PoissonProcess,
-    RetryPolicy,
-    SLOReport,
-    build_slo_report,
-    estimate_capacity_rows_per_sec,
-    run_serving,
-)
+from ..serving import OVERLOAD_POLICIES, BurstyProcess, PoissonProcess, RetryPolicy
+from .sweep import Sweep, SweepResult, serving_capacity, serving_cell
 
 #: Arrival rates as multiples of measured single-replica serving capacity.
 DEFAULT_SERVE_MULTIPLIERS = (0.5, 1.0, 2.0)
 #: Overload policies swept; ``none`` is the no-admission control (unbounded
 #: window, everything admitted) the bounded policies are compared against.
-DEFAULT_SERVE_OVERLOADS = ("none", "block", "shed-newest", "shed-oldest", "deadline-drop")
+DEFAULT_SERVE_OVERLOADS = ("none", *OVERLOAD_POLICIES)
 DEFAULT_SERVE_REPLICAS = (1, 2)
 DEFAULT_SERVE_ARRIVAL = "poisson"
 SERVE_ARRIVALS = ("poisson", "bursty")
@@ -69,106 +57,62 @@ DEFAULT_SERVE_KWARGS = dict(
 )
 
 
-@dataclass
-class ServeSweepPoint:
-    """One (rate multiplier, overload policy, replicas) setting's SLO report."""
-
-    multiplier: float
-    rate_per_sec: float      #: offered arrival rate the multiplier resolves to
-    num_replicas: int
-    overload: str            #: an OVERLOAD_* policy, or "none" (admission off)
-    slo: SLOReport
-
-
-@dataclass
-class ServeSweepResult:
-    arrival: str
-    board_size: int
-    max_batch: int
-    queue_capacity: int
-    flush_timeout_us: float
-    num_clients: int
-    request_deadline_us: float
-    horizon_us: float
-    capacity_rows_per_sec: float  #: measured single-replica capacity
-    points: List[ServeSweepPoint]
-    cache_capacity: Optional[int] = None  #: admission-cache size (None = off)
-    key_space: Optional[int] = None       #: keyed-workload span (None = keyless)
-
-    def point(self, multiplier: float, overload: str,
-              num_replicas: int) -> ServeSweepPoint:
-        for point in self.points:
-            if (point.multiplier == multiplier and point.overload == overload
-                    and point.num_replicas == num_replicas):
-                return point
-        raise KeyError(f"no sweep point for multiplier={multiplier}, "
-                       f"overload={overload!r}, replicas={num_replicas}")
-
-    def report(self) -> str:
-        header = (f"{'xcap':>5} {'repl':>4} {'overload':>13} {'offered/s':>10} "
-                  f"{'goodput/s':>10} {'shed%':>6} {'hit%':>6} {'retry%':>6} "
-                  f"{'late%':>6} {'avail%':>7} {'redisp':>6} {'blocked':>7} "
-                  f"{'qdelay p50/p95/p99 us':>22} {'latency p99 us':>14}")
-        cache_txt = ("cache off" if self.cache_capacity is None
-                     else f"cache={self.cache_capacity}")
-        keys_txt = ("keyless rows" if self.key_space is None
-                    else f"key_space={self.key_space}")
-        lines = [
-            f"Serve sweep: {self.arrival} arrivals from {self.num_clients} clients, "
-            f"board={self.board_size}, max_batch={self.max_batch}, "
-            f"window={self.queue_capacity}, flush timeout {self.flush_timeout_us:.0f}us, "
-            f"deadline {self.request_deadline_us:.0f}us, "
-            f"horizon {self.horizon_us / 1e6:.4f}s, {cache_txt}, {keys_txt}",
-            f"measured capacity: {self.capacity_rows_per_sec:.0f} rows/s per replica "
-            f"(rates below are multiples of capacity x replicas)",
-            header,
-        ]
-        for point in self.points:
-            slo = point.slo
-            delay = slo.client_queue_delay_us
-            latency = slo.latency_us
-            delay_txt = ("n/a" if delay is None else
-                         "/".join(f"{delay[p]:.0f}" for p in (50.0, 95.0, 99.0)))
-            latency_txt = "n/a" if latency is None else f"{latency[99.0]:.0f}"
-            lines.append(
-                f"{point.multiplier:>5.2f} {point.num_replicas:>4d} {point.overload:>13} "
-                f"{slo.offered_rate_per_sec:>10.1f} {slo.goodput_per_sec:>10.1f} "
-                f"{100.0 * slo.shed_fraction:>5.1f}% "
-                f"{100.0 * slo.cache_hit_fraction:>5.1f}% "
-                f"{100.0 * slo.retry_fraction:>5.1f}% "
-                f"{100.0 * slo.timeout_fraction:>5.1f}% "
-                f"{100.0 * slo.availability:>6.2f}% "
-                f"{slo.redispatched_rows:>6d} {slo.blocked:>7d} "
-                f"{delay_txt:>22} {latency_txt:>14}")
-        lines.append(
-            "note: 'none' admits everything into an unbounded window — its tail "
-            "queue delay grows with the backlog; bounded policies shed or block "
-            "instead, keeping admitted requests' delay within the window")
-        return "\n".join(lines)
+def _title(result):
+    cache_txt = ("cache off" if result.cache_capacity is None
+                 else f"cache={result.cache_capacity}")
+    keys_txt = ("keyless rows" if result.key_space is None
+                else f"key_space={result.key_space}")
+    return [
+        f"Serve sweep: {result.arrival} arrivals from {result.num_clients} clients, "
+        f"board={result.board_size}, max_batch={result.max_batch}, "
+        f"window={result.queue_capacity}, flush timeout {result.flush_timeout_us:.0f}us, "
+        f"deadline {result.request_deadline_us:.0f}us, "
+        f"horizon {result.horizon_us / 1e6:.4f}s, {cache_txt}, {keys_txt}",
+        f"measured capacity: {result.capacity_rows_per_sec:.0f} rows/s per replica "
+        f"(rates below are multiples of capacity x replicas)",
+    ]
 
 
-def run_serve_sweep(
-    multipliers: Sequence[float] = DEFAULT_SERVE_MULTIPLIERS,
-    *,
-    overloads: Sequence[str] = DEFAULT_SERVE_OVERLOADS,
-    replica_counts: Sequence[int] = DEFAULT_SERVE_REPLICAS,
-    arrival: str = DEFAULT_SERVE_ARRIVAL,
-    board_size: int = DEFAULT_SERVE_KWARGS["board_size"],
-    hidden: tuple = DEFAULT_SERVE_KWARGS["hidden"],
-    max_batch: int = DEFAULT_SERVE_KWARGS["max_batch"],
-    queue_capacity: int = DEFAULT_SERVE_KWARGS["queue_capacity"],
-    flush_timeout_us: float = DEFAULT_SERVE_KWARGS["flush_timeout_us"],
-    rate_burst: float = DEFAULT_SERVE_KWARGS["rate_burst"],
-    num_clients: int = DEFAULT_SERVE_KWARGS["num_clients"],
-    request_deadline_us: float = DEFAULT_SERVE_KWARGS["request_deadline_us"],
-    horizon_us: float = DEFAULT_SERVE_KWARGS["horizon_us"],
-    retry: Optional[RetryPolicy] = None,
-    cache_capacity: Optional[int] = None,
-    key_space: Optional[int] = None,
-    seed: int = 0,
-) -> ServeSweepResult:
+def _row(result, point):
+    slo = point.slo
+    delay = slo.client_queue_delay_us
+    latency = slo.latency_us
+    delay_txt = ("n/a" if delay is None else
+                 "/".join(f"{delay[p]:.0f}" for p in (50.0, 95.0, 99.0)))
+    latency_txt = "n/a" if latency is None else f"{latency[99.0]:.0f}"
+    yield (f"{point.multiplier:>5.2f} {point.num_replicas:>4d} {point.overload:>13} "
+           f"{slo.offered_rate_per_sec:>10.1f} {slo.goodput_per_sec:>10.1f} "
+           f"{100.0 * slo.shed_fraction:>5.1f}% "
+           f"{100.0 * slo.cache_hit_fraction:>5.1f}% "
+           f"{100.0 * slo.retry_fraction:>5.1f}% "
+           f"{100.0 * slo.timeout_fraction:>5.1f}% "
+           f"{100.0 * slo.availability:>6.2f}% "
+           f"{slo.redispatched_rows:>6d} {slo.blocked:>7d} "
+           f"{delay_txt:>22} {latency_txt:>14}")
+
+
+SERVE_SWEEP = Sweep(
+    "serve sweep", key=("multiplier", "overload", "num_replicas"),
+    defaults=dict(DEFAULT_SERVE_KWARGS, overloads=DEFAULT_SERVE_OVERLOADS,
+                  replica_counts=DEFAULT_SERVE_REPLICAS, arrival=DEFAULT_SERVE_ARRIVAL,
+                  retry=None, cache_capacity=None, key_space=None, seed=0),
+    title=_title,
+    header=(f"{'xcap':>5} {'repl':>4} {'overload':>13} {'offered/s':>10} "
+            f"{'goodput/s':>10} {'shed%':>6} {'hit%':>6} {'retry%':>6} "
+            f"{'late%':>6} {'avail%':>7} {'redisp':>6} {'blocked':>7} "
+            f"{'qdelay p50/p95/p99 us':>22} {'latency p99 us':>14}"),
+    row=_row,
+    notes=lambda result: [
+        "note: 'none' admits everything into an unbounded window — its tail "
+        "queue delay grows with the backlog; bounded policies shed or block "
+        "instead, keeping admitted requests' delay within the window"])
+
+
+def run_serve_sweep(multipliers: Sequence[float] = DEFAULT_SERVE_MULTIPLIERS,
+                    **overrides) -> SweepResult:
     """Run the serving tier over the (rate, overload, replicas) grid.
 
+    ``overrides`` replace entries of ``SERVE_SWEEP.defaults``.
     ``key_space`` switches every client to the keyed workload (features a
     pure function of a per-request state key; see
     :func:`~repro.serving.client.key_features`) and ``cache_capacity``
@@ -176,64 +120,39 @@ def run_serve_sweep(
     keeps the traffic identical while the server stays cacheless, which is
     the apples-to-apples control the cache sweep compares against.
     """
+    options = SERVE_SWEEP.options(overrides)
     if not multipliers or any(m <= 0 for m in multipliers):
         raise ValueError("multipliers must be positive")
-    if arrival not in SERVE_ARRIVALS:
-        raise ValueError(f"unknown arrival process {arrival!r}; expected one of {SERVE_ARRIVALS}")
-    unknown = [o for o in overloads if o != "none" and o not in
-               ("block", "shed-newest", "shed-oldest", "deadline-drop")]
+    if options.arrival not in SERVE_ARRIVALS:
+        raise ValueError(f"unknown arrival process {options.arrival!r}; "
+                         f"expected one of {SERVE_ARRIVALS}")
+    unknown = [o for o in options.overloads if o not in DEFAULT_SERVE_OVERLOADS]
     if unknown:
         raise ValueError(f"unknown overload policies {unknown}")
-    feature_dim = 3 * board_size * board_size
-    retry = retry if retry is not None else RetryPolicy()
-
-    def make_network():
-        return PolicyValueNet(board_size, hidden=hidden,
-                              rng=np.random.default_rng(seed))
-
-    capacity = estimate_capacity_rows_per_sec(
-        make_network, feature_dim=feature_dim, max_batch=max_batch, seed=seed)
-    points: List[ServeSweepPoint] = []
+    if options.retry is None:
+        options.retry = RetryPolicy()
+    capacity = serving_capacity(options)
+    points = []
     for multiplier in multipliers:
-        for num_replicas in replica_counts:
+        for num_replicas in options.replica_counts:
             rate = multiplier * capacity * num_replicas
-            for overload in overloads:
-                admission_off = overload == "none"
-                server = InferenceServer(
-                    make_network(),
-                    max_batch=max_batch,
-                    queue_capacity=None if admission_off else queue_capacity,
-                    overload="shed-newest" if admission_off else overload,
-                    rate_limit_per_sec=None,
-                    rate_burst=rate_burst,
-                    flush_policy="timeout",
-                    flush_timeout_us=flush_timeout_us,
-                    num_replicas=num_replicas,
-                    seed=seed,
-                    name=f"serve_{overload}",
-                    keep_decision_log=False,
-                    cache_capacity=cache_capacity)
-                if arrival == "poisson":
+            for overload in options.overloads:
+                if options.arrival == "poisson":
                     process = PoissonProcess(rate)
                 else:
                     # Same mean rate, modulated: calm at half, bursts at 3x.
                     process = BurstyProcess(0.5 * rate, 3.0 * rate,
-                                            mean_calm_us=horizon_us / 6.0,
-                                            mean_burst_us=horizon_us / 12.0)
-                loadgen = LoadGenerator(process, num_clients,
-                                        feature_dim=feature_dim, retry=retry,
-                                        request_deadline_us=request_deadline_us,
-                                        key_space=key_space,
-                                        seed=seed)
-                result = run_serving(server, loadgen, horizon_us)
-                label = f"x{multiplier:g}/{overload}/r{num_replicas}"
-                points.append(ServeSweepPoint(
-                    multiplier=multiplier, rate_per_sec=rate,
-                    num_replicas=num_replicas, overload=overload,
-                    slo=build_slo_report(result, label=label)))
-    return ServeSweepResult(
-        arrival=arrival, board_size=board_size, max_batch=max_batch,
-        queue_capacity=queue_capacity, flush_timeout_us=flush_timeout_us,
-        num_clients=num_clients, request_deadline_us=request_deadline_us,
-        horizon_us=horizon_us, capacity_rows_per_sec=capacity, points=points,
-        cache_capacity=cache_capacity, key_space=key_space)
+                                            mean_calm_us=options.horizon_us / 6.0,
+                                            mean_burst_us=options.horizon_us / 12.0)
+                admission_off = overload == "none"
+                slo = serving_cell(
+                    options, process, num_replicas=num_replicas, name=f"serve_{overload}",
+                    label=f"x{multiplier:g}/{overload}/r{num_replicas}",
+                    key_space=options.key_space,
+                    queue_capacity=None if admission_off else options.queue_capacity,
+                    overload="shed-newest" if admission_off else overload,
+                    cache_capacity=options.cache_capacity)
+                points.append(SimpleNamespace(multiplier=multiplier, rate_per_sec=rate,
+                                              num_replicas=num_replicas, overload=overload,
+                                              slo=slo))
+    return SERVE_SWEEP.result(points, capacity_rows_per_sec=capacity, **vars(options))

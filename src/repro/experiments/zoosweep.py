@@ -30,13 +30,14 @@ across runs of the same configuration.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Sequence
 
 from ..rl.zoo import ZOO_ALGORITHMS, make_zoo_pool
 from ..rollout.inference import FLUSH_MAX_BATCH, FLUSH_UNBATCHED
 from ..sim import registry
 from ..system import System
+from .sweep import Sweep, SweepResult
 
 #: Simulators the default sweep grids over (>= 3 non-Go per the roadmap;
 #: Go rides along as the discrete board-game workload, exercised by DQN/PPO
@@ -49,160 +50,102 @@ DEFAULT_ZOO_REPLICAS = (1, 2)
 DEFAULT_ZOO_STEPS = 8
 
 
-@dataclass
-class ZooSweepPoint:
-    """One (sim, algorithm, workers, replicas) cell: batched vs unbatched."""
-
-    sim: str
-    algorithm: str
-    num_workers: int
-    num_replicas: int
-    steps: int                    #: env transitions collected (batched run)
-    engine_calls: int             #: batched service calls
-    rows: int                     #: policy evaluations served
-    cross_worker_share: float     #: fraction of batches spanning >1 worker
-    unbatched_engine_calls: int   #: control: one call per evaluation
-    collection_span_us: float     #: batched virtual span (slowest worker)
-    unbatched_span_us: float      #: control virtual span
-
-    @property
-    def mean_batch(self) -> float:
-        return self.rows / self.engine_calls if self.engine_calls else 0.0
-
-    @property
-    def engine_call_reduction(self) -> float:
-        """How many serial engine calls one batched call replaces."""
-        return (self.unbatched_engine_calls / self.engine_calls
-                if self.engine_calls else 0.0)
-
-    @property
-    def span_speedup(self) -> float:
-        return (self.unbatched_span_us / self.collection_span_us
-                if self.collection_span_us else 0.0)
+def _row(result, point):
+    yield (f"{point.sim:>12} {point.algorithm:>5} {point.num_workers:>4d} "
+           f"{point.num_replicas:>4d} {point.steps:>6d} {point.engine_calls:>6d} "
+           f"{point.unbatched_engine_calls:>6d} {point.engine_call_reduction:>8.1f}x "
+           f"{100.0 * point.cross_worker_share:>7.1f}% {point.mean_batch:>6.1f} "
+           f"{point.collection_span_us:>10.1f} {point.span_speedup:>6.2f}x")
 
 
-@dataclass
-class ZooSweepResult:
-    sims: Tuple[str, ...]
-    algorithms: Tuple[str, ...]
-    worker_counts: Tuple[int, ...]
-    replica_counts: Tuple[int, ...]
-    steps_per_worker: int
-    seed: int
-    points: List[ZooSweepPoint]
-    skipped: List[Tuple[str, str, str]]  #: (sim, algorithm, reason)
-
-    def point(self, sim: str, algorithm: str, num_workers: int,
-              num_replicas: int) -> ZooSweepPoint:
-        for point in self.points:
-            if (point.sim == sim and point.algorithm == algorithm
-                    and point.num_workers == num_workers
-                    and point.num_replicas == num_replicas):
-                return point
-        raise KeyError(f"no sweep point for sim={sim!r}, algorithm={algorithm!r}, "
-                       f"workers={num_workers}, replicas={num_replicas}")
-
-    def report(self) -> str:
-        header = (f"{'sim':>12} {'algo':>5} {'wrk':>4} {'repl':>4} {'steps':>6} "
-                  f"{'calls':>6} {'serial':>6} {'reduction':>9} {'xworker%':>8} "
-                  f"{'batch':>6} {'span us':>10} {'speedup':>7}")
-        lines = [
-            f"Zoo sweep: {len(self.points)} cells over "
-            f"{len(self.sims)} sims x {len(self.algorithms)} algorithm families, "
-            f"workers={list(self.worker_counts)}, replicas={list(self.replica_counts)}, "
-            f"{self.steps_per_worker} steps/worker (seed {self.seed})",
-            "every cell routes per-step policy evaluation through the shared "
-            "batched InferenceService; 'serial' is the unbatched control "
-            "(one engine call per evaluation), 'reduction' = serial / calls",
-            header,
-        ]
-        for point in self.points:
-            lines.append(
-                f"{point.sim:>12} {point.algorithm:>5} {point.num_workers:>4d} "
-                f"{point.num_replicas:>4d} {point.steps:>6d} {point.engine_calls:>6d} "
-                f"{point.unbatched_engine_calls:>6d} {point.engine_call_reduction:>8.1f}x "
-                f"{100.0 * point.cross_worker_share:>7.1f}% {point.mean_batch:>6.1f} "
-                f"{point.collection_span_us:>10.1f} {point.span_speedup:>6.2f}x")
-        for sim, algorithm, reason in self.skipped:
-            lines.append(f"{sim:>12} {algorithm:>5} {'skipped':>51} ({reason})")
-        return "\n".join(lines)
+ZOO_SWEEP = Sweep(
+    "zoo sweep", key=("sim", "algorithm", "num_workers", "num_replicas"),
+    defaults=dict(algorithms=DEFAULT_ZOO_ALGOS, worker_counts=DEFAULT_ZOO_WORKERS,
+                  replica_counts=DEFAULT_ZOO_REPLICAS, steps_per_worker=DEFAULT_ZOO_STEPS,
+                  seed=0, trace_dir=None),
+    title=lambda result: [
+        f"Zoo sweep: {len(result.points)} cells over "
+        f"{len(result.sims)} sims x {len(result.algorithms)} algorithm families, "
+        f"workers={list(result.worker_counts)}, replicas={list(result.replica_counts)}, "
+        f"{result.steps_per_worker} steps/worker (seed {result.seed})",
+        "every cell routes per-step policy evaluation through the shared "
+        "batched InferenceService; 'serial' is the unbatched control "
+        "(one engine call per evaluation), 'reduction' = serial / calls"],
+    header=(f"{'sim':>12} {'algo':>5} {'wrk':>4} {'repl':>4} {'steps':>6} "
+            f"{'calls':>6} {'serial':>6} {'reduction':>9} {'xworker%':>8} "
+            f"{'batch':>6} {'span us':>10} {'speedup':>7}"),
+    row=_row,
+    notes=lambda result: [f"{sim:>12} {algorithm:>5} {'skipped':>51} ({reason})"
+                          for sim, algorithm, reason in result.skipped])
 
 
-def run_zoo_sweep(
-    sims: Sequence[str] = DEFAULT_ZOO_SIMS,
-    *,
-    algorithms: Sequence[str] = DEFAULT_ZOO_ALGOS,
-    worker_counts: Sequence[int] = DEFAULT_ZOO_WORKERS,
-    replica_counts: Sequence[int] = DEFAULT_ZOO_REPLICAS,
-    steps_per_worker: int = DEFAULT_ZOO_STEPS,
-    seed: int = 0,
-    trace_dir: Optional[str] = None,
-) -> ZooSweepResult:
+def _cell(options, sim: str, algorithm: str, num_workers: int,
+          num_replicas: int) -> SimpleNamespace:
+    """One cell: the batched run (traced under ``trace_dir``) and its unbatched control."""
+    def collect(flush_policy: str, trace_dir=None):
+        pool = make_zoo_pool(sim, algorithm, num_workers,
+                             steps_per_worker=options.steps_per_worker,
+                             num_replicas=num_replicas, flush_policy=flush_policy,
+                             seed=options.seed, profile=trace_dir is not None,
+                             trace_dir=trace_dir)
+        pool.run()
+        return pool
+
+    cell_trace = None
+    if options.trace_dir is not None:
+        cell_trace = os.path.join(options.trace_dir,
+                                  f"{sim}_{algorithm}_w{num_workers}_r{num_replicas}")
+    batched = collect(FLUSH_MAX_BATCH, cell_trace)
+    control = collect(FLUSH_UNBATCHED)
+    stats = batched.inference_service.stats
+    unbatched_calls = control.inference_service.stats.engine_calls
+    span_us, unbatched_span_us = batched.collection_span_us(), control.collection_span_us()
+    return SimpleNamespace(
+        sim=sim, algorithm=algorithm, num_workers=num_workers, num_replicas=num_replicas,
+        steps=batched.total_steps(), engine_calls=stats.engine_calls, rows=stats.rows,
+        cross_worker_share=stats.cross_worker_share,
+        unbatched_engine_calls=unbatched_calls,
+        collection_span_us=span_us, unbatched_span_us=unbatched_span_us,
+        mean_batch=stats.rows / stats.engine_calls if stats.engine_calls else 0.0,
+        # How many serial engine calls one batched call replaces.
+        engine_call_reduction=(unbatched_calls / stats.engine_calls
+                               if stats.engine_calls else 0.0),
+        span_speedup=unbatched_span_us / span_us if span_us else 0.0)
+
+
+def run_zoo_sweep(sims: Sequence[str] = DEFAULT_ZOO_SIMS, **overrides) -> SweepResult:
     """Run the workload zoo over the (sim, algorithm, workers, replicas) grid.
 
-    With ``trace_dir`` set, every batched cell streams its full profiler
-    trace into ``trace_dir/<sim>_<algo>_w<workers>_r<replicas>`` (a
+    ``overrides`` replace entries of ``ZOO_SWEEP.defaults``.  With
+    ``trace_dir`` set, every batched cell streams its full profiler trace
+    into ``trace_dir/<sim>_<algo>_w<workers>_r<replicas>`` (a
     :class:`~repro.tracedb.store.TraceDB` per cell).
     """
+    options = ZOO_SWEEP.options(overrides)
     if not sims:
         raise ValueError("sims must be non-empty")
-    unknown = [a for a in algorithms if a not in ZOO_ALGORITHMS]
+    unknown = [a for a in options.algorithms if a not in ZOO_ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown zoo algorithms {unknown}; "
                          f"available: {sorted(ZOO_ALGORITHMS)}")
-    if any(w <= 0 for w in worker_counts) or any(r <= 0 for r in replica_counts):
+    if (any(w <= 0 for w in options.worker_counts)
+            or any(r <= 0 for r in options.replica_counts)):
         raise ValueError("worker and replica counts must be positive")
 
     discrete = {
         sim: registry.make(sim, System.create(seed=0), seed=0).is_discrete
         for sim in sims
     }
-    points: List[ZooSweepPoint] = []
-    skipped: List[Tuple[str, str, str]] = []
+    points, skipped = [], []
     for sim in sims:
-        for algorithm in algorithms:
+        for algorithm in options.algorithms:
             spec = ZOO_ALGORITHMS[algorithm]
-            supported = (spec.supports_discrete if discrete[sim]
-                         else spec.supports_continuous)
-            if not supported:
+            if not (spec.supports_discrete if discrete[sim] else spec.supports_continuous):
                 space = "discrete" if discrete[sim] else "continuous"
                 skipped.append((sim, algorithm,
                                 f"{algorithm} does not act in {space} action spaces"))
                 continue
-            for num_workers in worker_counts:
-                for num_replicas in replica_counts:
-                    cell_trace = None
-                    if trace_dir is not None:
-                        cell_trace = os.path.join(
-                            trace_dir,
-                            f"{sim}_{algorithm}_w{num_workers}_r{num_replicas}")
-                    batched = make_zoo_pool(
-                        sim, algorithm, num_workers,
-                        steps_per_worker=steps_per_worker,
-                        num_replicas=num_replicas,
-                        flush_policy=FLUSH_MAX_BATCH,
-                        seed=seed, profile=cell_trace is not None,
-                        trace_dir=cell_trace)
-                    batched.run()
-                    control = make_zoo_pool(
-                        sim, algorithm, num_workers,
-                        steps_per_worker=steps_per_worker,
-                        num_replicas=num_replicas,
-                        flush_policy=FLUSH_UNBATCHED,
-                        seed=seed)
-                    control.run()
-                    stats = batched.inference_service.stats
-                    points.append(ZooSweepPoint(
-                        sim=sim, algorithm=algorithm,
-                        num_workers=num_workers, num_replicas=num_replicas,
-                        steps=batched.total_steps(),
-                        engine_calls=stats.engine_calls, rows=stats.rows,
-                        cross_worker_share=stats.cross_worker_share,
-                        unbatched_engine_calls=control.inference_service.stats.engine_calls,
-                        collection_span_us=batched.collection_span_us(),
-                        unbatched_span_us=control.collection_span_us()))
-    return ZooSweepResult(
-        sims=tuple(sims), algorithms=tuple(algorithms),
-        worker_counts=tuple(worker_counts), replica_counts=tuple(replica_counts),
-        steps_per_worker=steps_per_worker, seed=seed,
-        points=points, skipped=skipped)
+            points.extend(_cell(options, sim, algorithm, num_workers, num_replicas)
+                          for num_workers in options.worker_counts
+                          for num_replicas in options.replica_counts)
+    return ZOO_SWEEP.result(points, sims=tuple(sims), skipped=skipped, **vars(options))

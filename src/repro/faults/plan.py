@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -214,22 +214,11 @@ class FaultInjector:
         self._broadcast_events: List[FaultEvent] = [
             e for e in plan.events if e.kind == BROADCAST_FAIL]
         self.log: List[str] = []
-        self._listeners: List[Callable[[FaultEvent], None]] = []
 
     # --------------------------------------------------------------- basics
     @property
     def armed(self) -> bool:
         return not self.plan.empty
-
-    def subscribe(self, listener: Callable[[FaultEvent], None]) -> None:
-        """Register a callback fired for every *applied* replica event
-        (whichever layer consumed it) — the serving tier uses this to enter
-        and leave degraded mode the moment capacity changes."""
-        self._listeners.append(listener)
-
-    def notify(self, event: FaultEvent) -> None:
-        for listener in self._listeners:
-            listener(event)
 
     def record(self, time_us: float, kind: str, target: int = -1,
                detail: str = "") -> None:
@@ -239,9 +228,6 @@ class FaultInjector:
         if detail:
             parts.append(detail)
         self.log.append(" ".join(parts))
-
-    def log_lines(self) -> List[str]:
-        return list(self.log)
 
     # ------------------------------------------------------- replica events
     def due_replica_events(self, now_us: float) -> List[FaultEvent]:

@@ -71,10 +71,6 @@ class ProfilerConfig:
         """A configuration with everything off except the given flags."""
         return replace(cls.uninstrumented(), **flags)
 
-    @property
-    def anything_enabled(self) -> bool:
-        return self.annotations or self.pyprof or self.cuda_interception or self.cupti
-
 
 class Profiler:
     """One worker's RL-Scope profiling session."""

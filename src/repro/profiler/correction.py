@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .calibration import CalibrationResult
 from .events import OVERHEAD_CATEGORY, Event, EventTrace
-from .overlap import UNTRACKED, OverlapResult
+from .overlap import UNTRACKED
 
 
 class OperationLocator:
@@ -133,10 +133,3 @@ def corrected_total_us(trace: EventTrace, calibration: CalibrationResult, *, tot
     if total_us is None:
         total_us = float(trace.metadata.get("total_time_us", trace.span_us()))
     return max(total_us - calibration.total_overhead_us(trace), 0.0)
-
-
-def corrected_overlap_total_us(overlap: OverlapResult, trace: EventTrace, calibration: CalibrationResult) -> float:
-    """Corrected total of the overlap regions (tracked time only)."""
-    overheads = overhead_by_operation_category(trace, calibration)
-    tracked_overhead = sum(v for (op, _), v in overheads.items() if op != UNTRACKED)
-    return max(overlap.total_us(include_untracked=False) - tracked_overhead, 0.0)

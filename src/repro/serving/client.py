@@ -114,10 +114,6 @@ class ClientStats:
     latency_us: List[float] = field(default_factory=list)  #: first send -> OK reply
     queue_delay_us: List[float] = field(default_factory=list)  #: server-reported
 
-    @property
-    def outstanding_closed(self) -> int:
-        return self.completed + self.gave_up
-
 
 class _Pending:
     """One request awaiting its reply (survives across retries)."""

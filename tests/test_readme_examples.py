@@ -1,20 +1,27 @@
-"""README pool examples are valid configurations.
+"""README pool examples are valid configurations, and documented command lines parse.
 
 Every ``SelfPlayPool(...)`` / ``EnvRolloutPool(...)`` call in a README
 ``python`` block is evaluated on its own: the pool is constructed (which
 runs the constructor validation) but never run, so this costs milliseconds.
+Every ``rls-experiment ...`` / ``python -m repro.experiments.cli ...`` line in
+the README, the CLI docstring and the CI workflow is parsed by the CLI's own
+parser — never run.
 """
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from repro.experiments import cli
 from repro.minigo import SelfPlayPool
 from repro.rollout import EnvRolloutPool
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+CI = ROOT / ".github" / "workflows" / "ci.yml"
 POOLS = {"SelfPlayPool": SelfPlayPool, "EnvRolloutPool": EnvRolloutPool}
 
 
@@ -38,3 +45,36 @@ def test_readme_has_pool_examples():
 def test_readme_pool_example_constructs(call):
     pool = eval(compile(ast.Expression(call), str(README), "eval"), dict(POOLS))
     assert type(pool).__name__ == call.func.id
+
+
+#: A command line up to the end of its code span, line or shell comment;
+#: backslash-continued lines belong to it.
+COMMAND = re.compile(r"(?:rls-experiment|python -m repro\.experiments\.cli)[ \t]+"
+                     r"([a-z](?:[^`#\n\\]|\\\n)*)")
+
+
+def _command_lines(name, text):
+    """(argv, id) params for every command line in ``text``."""
+    return [pytest.param(shlex.split(match.group(1).replace("\\\n", " ")),
+                         id=f"{name}:{text.count(chr(10), 0, match.start()) + 1}")
+            for match in COMMAND.finditer(text)]
+
+
+DOCUMENTED_COMMANDS = {
+    "README.md": _command_lines("README.md", README.read_text(encoding="utf-8")),
+    "cli.py": _command_lines("cli.py", cli.__doc__),
+    "ci.yml": _command_lines("ci.yml", CI.read_text(encoding="utf-8")),
+}
+
+
+def test_documented_commands_are_found():
+    assert len(DOCUMENTED_COMMANDS["README.md"]) >= 10
+    assert len(DOCUMENTED_COMMANDS["cli.py"]) >= 20
+    assert len(DOCUMENTED_COMMANDS["ci.yml"]) >= 4
+
+
+@pytest.mark.parametrize("argv", [param for params in DOCUMENTED_COMMANDS.values()
+                                  for param in params])
+def test_documented_command_parses(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert args.experiment in cli.EXPERIMENTS

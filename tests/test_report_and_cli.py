@@ -122,3 +122,18 @@ def test_experiment_cli_batchsweep(capsys):
     out = capsys.readouterr().out
     assert "Batch-size sweep" in out
     assert "fewer" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--rates", "2.0"],
+    ["table1", "--quick"],
+    ["faultsweep", "--fault-policies", "bogus"],
+    ["zoosweep", "--algos", "Bogus"],
+    ["zoosweep", "--sims", "Bogus"],
+], ids=" ".join)
+def test_experiment_cli_rejects_at_parse_time(argv):
+    """Flags another experiment owns and words outside a flag's vocabulary
+    fail in argparse (exit 2), before any experiment runs."""
+    with pytest.raises(SystemExit) as exit_info:
+        experiment_main(argv)
+    assert exit_info.value.code == 2
