@@ -4,19 +4,26 @@ Every previous benchmark measures *virtual-time* quantities — engine calls,
 batch sizes, collection spans.  This one times the **Python harness** that
 produces those numbers, pinning the speedup of the three optimized hot paths:
 
-* the incremental-group Go engine + lazy MCTS child positions
-  (``repro.sim.go`` / ``repro.minigo.mcts``),
+* the incremental-group Go engine with its numpy legality index mask
+  (``repro.sim.go``) and array-backed MCTS nodes (``repro.minigo.mcts``:
+  per-node ``child_N``/``child_W``/``child_prior``/``child_vl`` arrays,
+  vectorized UCB plus ``argmax``, child nodes and boards built only when
+  selection descends into them),
 * the heap-driven :class:`~repro.minigo.workers.PoolScheduler` event loop,
 * the single-pass worker grouping in
   :func:`~repro.profiler.overlap.compute_overlap`.
 
 The pre-optimization baseline is not a hard-coded number (machine-dependent
 and unverifiable) but the *preserved original code* in ``tests/oracles/``:
-the reference flood-fill Go engine (``go_reference``), eager MCTS child
-materialization (``eager_mcts``), and the linear-scan scheduler loop
-(``scan_scheduler``).  Both harnesses run the same
-8-worker / ``leaf_batch=8`` event-scheduler pool on the same seed; the
-acceptance bar is a **>=3x end-to-end wall-clock speedup** with game records
+the reference flood-fill Go engine (``go_reference``), the scalar
+one-node-per-child MCTS with eager child boards
+(``scalar_mcts.ScalarMCTS(eager=True)``), and the linear-scan scheduler loop
+(``scan_scheduler``).  Against the scalar nodes and per-point legality
+they replaced, the array nodes and the legality mask alone measured a median
+134 -> 454 self-play moves/s (3.4x) on ``perfbench/run.py --workload
+selfplay`` (10 alternating 24 s pairs, seed 11, 2-core Xeon container).
+Both harnesses run the same 8-worker / ``leaf_batch=8`` event-scheduler
+pool on the same seed; the acceptance bar is a **>=3x end-to-end wall-clock speedup** with game records
 and per-worker virtual clocks **bit-for-bit identical** — fast must also mean
 unchanged.
 
@@ -38,18 +45,18 @@ import subprocess
 import time
 import statistics
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from unittest.mock import patch
 
 from conftest import save_report
 from repro.minigo import selfplay as selfplay_mod
-from repro.minigo.mcts import MCTS
 from repro.minigo.workers import PoolScheduler, SelfPlayPool
 from repro.profiler import overlap as overlap_mod
 from repro.profiler.events import merge_traces
 from repro.profiler.overlap import OverlapResult, compute_overlap
-from tests.oracles.eager_mcts import expand_with_priors_eager
 from tests.oracles.go_reference import ReferenceGoPosition
+from tests.oracles.scalar_mcts import ScalarMCTS
 from tests.oracles.overlap_loop import _accumulate_worker_loop
 from tests.oracles.scan_scheduler import run_scan
 
@@ -93,7 +100,7 @@ MIN_OVERLAP_VECTOR_SPEEDUP = 5.0
 def pre_optimization_harness():
     """Swap the preserved original implementations in for one run."""
     with patch.object(selfplay_mod, "GoPosition", ReferenceGoPosition), \
-            patch.object(MCTS, "_expand_with_priors", expand_with_priors_eager), \
+            patch.object(selfplay_mod, "MCTS", partial(ScalarMCTS, eager=True)), \
             patch.object(PoolScheduler, "run", run_scan):
         yield
 

@@ -13,10 +13,16 @@ incrementally-maintained Zobrist hash of the stone configuration.  Legality
 is therefore an O(neighbors) lookup instead of the flood-fill-per-candidate
 scan of the original implementation (preserved verbatim as a test oracle
 under ``tests/oracles/`` and pinned equivalent by the random-game oracle in
-``tests/test_go_oracle.py``).  :class:`GoPosition` is immutable, so its
-``legal_moves()``/``features()`` are computed once and cached per instance —
-MCTS expansion and self-play record collection hit the cache instead of
-re-deriving them per call.
+``tests/test_go_oracle.py``).
+
+The legal moves of a whole board come from one legality index mask,
+:meth:`GoBoard.legal_indices`: numpy marks every empty point with an empty
+neighbor legal at once, and only empty points whose neighbors are all
+occupied take the per-point group lookup.  ``legal_moves()`` is built on the
+mask, so the engine has one legality path.  :class:`GoPosition` is
+immutable, so its ``legal_indices()``/``legal_moves()``/``features()`` are
+computed once and cached per instance; MCTS expansion reads the index form
+directly.
 """
 
 from __future__ import annotations
@@ -43,11 +49,12 @@ def opponent(color: int) -> int:
 
 # ------------------------------------------------------------- board geometry
 #: Per-size caches shared by every board instance: the row-major point list,
-#: the point -> neighbor-tuple map, and the Zobrist key tables.  Boards of
-#: the same size share these read-only structures, so copying a board never
-#: copies them.
+#: the point -> neighbor-tuple map, the point adjacency matrix, and the
+#: Zobrist key tables.  Boards of the same size share these read-only
+#: structures, so copying a board never copies them.
 _POINTS_CACHE: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 _NEIGHBORS_CACHE: Dict[int, Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]] = {}
+_ADJACENCY_CACHE: Dict[int, np.ndarray] = {}
 _ZOBRIST_CACHE: Dict[int, Tuple[List[List[int]], List[int], int]] = {}
 
 #: Seed of the Zobrist key stream.  Fixed forever: hashes are persisted in
@@ -78,6 +85,19 @@ def _neighbor_map(size: int) -> Dict[Tuple[int, int], Tuple[Tuple[int, int], ...
     return neighbors
 
 
+def _adjacency(size: int) -> np.ndarray:
+    """Point adjacency matrix: ``adjacency @ mask`` counts masked neighbors."""
+    adjacency = _ADJACENCY_CACHE.get(size)
+    if adjacency is None:
+        adjacency = np.zeros((size * size, size * size), dtype=np.float32)
+        for (row, col), neighbors in _neighbor_map(size).items():
+            for n_row, n_col in neighbors:
+                adjacency[row * size + col, n_row * size + n_col] = 1.0
+        adjacency.flags.writeable = False
+        _ADJACENCY_CACHE[size] = adjacency
+    return adjacency
+
+
 def _zobrist_tables(size: int) -> Tuple[List[List[int]], List[int], int]:
     """(stone_keys[point][channel], ko_keys[point], turn_key) for one size.
 
@@ -94,6 +114,15 @@ def _zobrist_tables(size: int) -> Tuple[List[List[int]], List[int], int]:
         tables = (stone_keys, ko_keys, turn_key)
         _ZOBRIST_CACHE[size] = tables
     return tables
+
+
+def _moves_at(points: Tuple[Tuple[int, int], ...], indices: np.ndarray,
+              include_pass: bool = True) -> List[Move]:
+    """The moves of a legal-index array (pass last) as coordinates and None."""
+    moves: List[Move] = [points[index] for index in indices[:-1].tolist()]
+    if include_pass:
+        moves.append(None)
+    return moves
 
 
 class _Group:
@@ -319,18 +348,32 @@ class GoBoard:
                 self.ko_point = captured[0]
         return captured
 
+    def legal_indices(self, color: int) -> np.ndarray:
+        """Legal moves as ascending flat point indices, with pass (``size**2``) last.
+
+        The legality mask is computed on the board array: an empty point
+        with an empty neighbor is always legal (the new stone has a
+        liberty), so only empty points whose neighbors are all occupied fall
+        back to :meth:`_legal_at_empty` (a capture, or joining a friendly
+        group that keeps a liberty).  The ko point is removed last.
+        """
+        size = self.size
+        empty = self.board.ravel() == EMPTY
+        has_empty_neighbor = (_adjacency(size) @ empty) > 0
+        legal = np.empty(size * size + 1, dtype=bool)
+        np.logical_and(empty, has_empty_neighbor, out=legal[:-1])
+        legal[-1] = True  # pass
+        points = self._points
+        surrounded = np.greater(empty, has_empty_neighbor)  # empty, no empty neighbor
+        for index in surrounded.nonzero()[0].tolist():
+            if self._legal_at_empty(points[index], color):
+                legal[index] = True
+        if self.ko_point is not None:
+            legal[self.ko_point[0] * size + self.ko_point[1]] = False
+        return legal.nonzero()[0]
+
     def legal_moves(self, color: int, *, include_pass: bool = True) -> List[Move]:
-        group_at = self._group_at
-        ko_point = self.ko_point
-        legal_at_empty = self._legal_at_empty
-        moves: List[Move] = [
-            point for point in self._points
-            if point not in group_at and point != ko_point
-            and legal_at_empty(point, color)
-        ]
-        if include_pass:
-            moves.append(None)
-        return moves
+        return _moves_at(self._points, self.legal_indices(color), include_pass)
 
     # ---------------------------------------------------------------- scoring
     def area_score(self) -> float:
@@ -376,9 +419,9 @@ class GoPosition:
     """Immutable game position for tree search: board + whose turn + pass count.
 
     Positions never change after construction, so the expensive derived
-    quantities — the legal-move list and the network feature planes — are
-    computed once and cached on the instance.  Callers treat the returned
-    list/array as read-only.
+    quantities — the legal-move indices and list and the network feature
+    planes — are computed once and cached on the instance.  Callers treat
+    the returned lists/arrays as read-only (the index array is flagged so).
     """
 
     board: GoBoard
@@ -389,6 +432,7 @@ class GoPosition:
     def __post_init__(self) -> None:
         self._size = self.board.size
         self._pass_index = self._size * self._size
+        self._legal_indices: Optional[np.ndarray] = None
         self._legal_moves: Optional[List[Move]] = None
         self._features: Optional[np.ndarray] = None
 
@@ -400,10 +444,19 @@ class GoPosition:
     def size(self) -> int:
         return self._size
 
+    def legal_indices(self) -> np.ndarray:
+        """Legal move indices, ascending with pass last (cached, read-only)."""
+        indices = self._legal_indices
+        if indices is None:
+            indices = self.board.legal_indices(self.to_play)
+            indices.flags.writeable = False
+            self._legal_indices = indices
+        return indices
+
     def legal_moves(self) -> List[Move]:
         moves = self._legal_moves
         if moves is None:
-            moves = self.board.legal_moves(self.to_play)
+            moves = _moves_at(self.board._points, self.legal_indices())
             self._legal_moves = moves
         return moves
 
@@ -432,11 +485,13 @@ class GoPosition:
         """Flat feature vector for the policy/value network (cached)."""
         features = self._features
         if features is None:
-            own = (self.board.board == self.to_play).astype(np.float32)
-            other = (self.board.board == opponent(self.to_play)).astype(np.float32)
-            turn = np.full((self._size, self._size),
-                           1.0 if self.to_play == BLACK else 0.0, dtype=np.float32)
-            features = np.concatenate([own.reshape(-1), other.reshape(-1), turn.reshape(-1)])
+            # Planes: own stones, opponent stones, side to move.
+            points = self._pass_index
+            stones = self.board.board.ravel()
+            features = np.empty(3 * points, dtype=np.float32)
+            features[:points] = stones == self.to_play
+            features[points:2 * points] = stones == opponent(self.to_play)
+            features[2 * points:] = 1.0 if self.to_play == BLACK else 0.0
             self._features = features
         return features
 

@@ -10,6 +10,9 @@ implementation (``tests/oracles/go_reference.py``):
 * a hypothesis property test that replays dense random games and checks the
   incremental liberty bookkeeping against a from-scratch flood fill after
   every move — capture cascades included;
+* the legality index mask (``legal_indices``) and ``legal_moves()`` equal
+  the reference legal set at every ply, and on hand-built ko, suicide,
+  capture and own-eye positions;
 * Zobrist consistency (incremental == recomputed, repeats collide);
 * determinism of the lazily-materialized MCTS child positions.
 """
@@ -31,6 +34,18 @@ ORACLE_BOARD_SIZE = 9
 ORACLE_PASS_PROBABILITY = 0.15
 
 
+def _move_index(size: int, move) -> int:
+    return size * size if move is None else move[0] * size + move[1]
+
+
+def _assert_index_forms_match(board_new: GoBoard, color: int, legal_ref) -> None:
+    """The legality mask and ``legal_moves()`` as indices equal the reference set."""
+    size = board_new.size
+    reference = [_move_index(size, move) for move in legal_ref]
+    assert board_new.legal_indices(color).tolist() == reference
+    assert [_move_index(size, move) for move in board_new.legal_moves(color)] == reference
+
+
 def _random_playout(board_new: GoBoard, board_ref: ReferenceGoBoard,
                     rng: np.random.Generator):
     """Play one full random game on both boards, asserting parity per move."""
@@ -43,6 +58,7 @@ def _random_playout(board_new: GoBoard, board_ref: ReferenceGoBoard,
         legal_ref = board_ref.legal_moves(to_play)
         assert legal_new == legal_ref, \
             f"legal-move sets diverged at move {moves}: {set(legal_new) ^ set(legal_ref)}"
+        _assert_index_forms_match(board_new, to_play, legal_ref)
         assert board_new.ko_point == board_ref.ko_point, \
             f"ko verdicts diverged at move {moves}"
 
@@ -198,12 +214,50 @@ def test_copy_isolates_incremental_state():
     assert fork.zobrist == fork.zobrist_from_scratch()
 
 
+# ------------------------------------------------ hand-built legality positions
+def _built(size, stones):
+    """Both engines after playing ``stones`` ((move, color) pairs) in order."""
+    board_new, board_ref = GoBoard(size), ReferenceGoBoard(size)
+    for move, color in stones:
+        assert sorted(board_new.play(move, color)) == sorted(board_ref.play(move, color))
+    for color in (BLACK, WHITE):
+        _assert_index_forms_match(board_new, color, board_ref.legal_moves(color))
+    return board_new, board_ref
+
+
+def test_legality_mask_on_hand_built_positions():
+    """Shapes random games rarely reach: ko, suicide, capture-to-live, own eye."""
+    B, W = BLACK, WHITE
+    # Ko: Black at (1, 2) takes the white stone at (1, 1); White may not
+    # retake at once.
+    board, _ = _built(5, [((0, 1), B), ((1, 0), B), ((2, 1), B), ((0, 2), W),
+                          ((1, 3), W), ((2, 2), W), ((1, 1), W), ((1, 2), B)])
+    assert board.ko_point == (1, 1)
+    assert 1 * 5 + 1 not in board.legal_indices(W).tolist()
+
+    # Suicide and a filled-in eye: (2, 2) is surrounded by Black stones that
+    # keep other liberties.  White playing there is suicide; Black filling
+    # its own eye is legal.
+    board, _ = _built(5, [((1, 2), B), ((3, 2), B), ((2, 1), B), ((2, 3), B)])
+    assert 2 * 5 + 2 not in board.legal_indices(W).tolist()
+    assert 2 * 5 + 2 in board.legal_indices(B).tolist()
+
+    # A capture saves a stone with no liberties: every neighbor of (0, 1) is
+    # White, but playing there takes the white stone at (0, 0), whose only
+    # liberty it was.
+    board, reference = _built(5, [((0, 0), W), ((1, 0), B), ((1, 1), W), ((0, 2), W)])
+    assert 0 * 5 + 1 in board.legal_indices(B).tolist()
+    assert board.play((0, 1), B) == reference.play((0, 1), B) == [(0, 0)]
+
+
 # ----------------------------------------------------- position-level caching
 def test_position_caches_are_stable_and_correct():
     position = GoPosition.initial(5)
     reference = ReferenceGoPosition.initial(5)
     assert position.legal_moves() == reference.legal_moves()
     assert position.legal_moves() is position.legal_moves()  # cached
+    assert position.legal_indices() is position.legal_indices()
+    assert not position.legal_indices().flags.writeable
     assert np.array_equal(position.features(), reference.features())
     assert position.features() is position.features()        # cached
     nxt = position.play((2, 2))
@@ -227,32 +281,29 @@ def _uniform_evaluator(num_moves):
     return evaluate
 
 
-def test_lazy_child_positions_match_eager_search(monkeypatch):
-    """Lazy materialization changes no search decision and skips most boards."""
+def test_lazy_child_positions_match_eager_search():
+    """Lazy child nodes and boards change no search decision and skip most boards."""
     from repro.minigo.mcts import MCTS
-    from tests.oracles.eager_mcts import expand_with_priors_eager
+    from tests.oracles.scalar_mcts import ScalarMCTS
 
-    def run_search():
-        mcts = MCTS(_uniform_evaluator(26), num_simulations=24, leaf_batch=4,
-                    rng=np.random.default_rng(11))
-        return mcts.search(GoPosition.initial(5))
+    def run_search(mcts_class, **options):
+        mcts = mcts_class(_uniform_evaluator(26), num_simulations=24, leaf_batch=4,
+                          rng=np.random.default_rng(11), **options)
+        return mcts, mcts.search(GoPosition.initial(5))
 
-    lazy_root = run_search()
-    with monkeypatch.context() as patch:
-        patch.setattr(MCTS, "_expand_with_priors", expand_with_priors_eager)
-        eager_root = run_search()
+    lazy_mcts, lazy_root = run_search(MCTS)
+    eager_mcts, eager_root = run_search(ScalarMCTS, eager=True)
+    assert np.array_equal(lazy_mcts.visit_counts(lazy_root),
+                          eager_mcts.visit_counts(eager_root))
 
-    def visits(node):
-        return sorted((index, child.visit_count) for index, child in node.children.items())
-    assert visits(lazy_root) == visits(eager_root)
-
-    # Most children were never visited, so they never built a board...
-    materialized = sum(child.has_position for child in lazy_root.children.values())
-    assert materialized < len(lazy_root.children)
+    # Most children were never visited, so they never built a node or a board...
+    assert len(lazy_root.children) < len(lazy_root.legal)
     assert all(child.has_position for child in eager_root.children.values())
-    # ...and materializing one on demand reproduces the eager board exactly.
-    index, lazy_child = next((i, c) for i, c in sorted(lazy_root.children.items())
-                             if not c.has_position)
+    # ...and building one on demand reproduces the eager board exactly.
+    slot, index = next((slot, index) for slot, index in enumerate(lazy_root.legal.tolist())
+                       if index not in lazy_root.children)
+    lazy_child = lazy_root.child(slot)
+    assert not lazy_child.has_position
     assert np.array_equal(lazy_child.position.board.board,
                           eager_root.children[index].position.board.board)
     assert lazy_child.position.to_play == eager_root.children[index].position.to_play

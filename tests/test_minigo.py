@@ -70,9 +70,22 @@ def test_mcts_backup_alternates_sign():
     mcts = MCTS(uniform_evaluator(26), num_simulations=5, rng=np.random.default_rng(1))
     root = mcts.search(position, add_noise=False)
     # Values propagated from children are negated relative to the child's own perspective.
+    visited = root.child_N > 0
+    assert visited.any()
+    assert np.isfinite(root.child_W[visited] / root.child_N[visited]).all()
     for child in root.children.values():
         if child.visit_count > 0:
             assert np.isfinite(child.mean_value)
+    # One backup from two plies down: +v for the leaf, -v for its parent,
+    # +v again for the root, each from its own to-play perspective.
+    uniform = np.full(26, 1 / 26)
+    tree = mcts.new_root(position)
+    mcts._expand_with_priors(tree, uniform, add_noise=False)
+    child = tree.child(0)
+    mcts._expand_with_priors(child, uniform, add_noise=False)
+    mcts._backup(child.child(0), 0.5)
+    assert (child.child_W[0], tree.child_W[0], tree.W) == (0.5, -0.5, 0.5)
+    assert (child.child_N[0], tree.child_N[0], tree.N) == (1, 1, 1)
 
 
 # ------------------------------------------------------------------- selfplay
@@ -169,16 +182,19 @@ def test_ucb_selection_is_minimax_correct():
     from repro.minigo.mcts import MCTSNode
 
     position = GoPosition.initial(size=5)
-    parent = MCTSNode(position=position, visit_count=4)
-    opponent_winning = MCTSNode(position=position, parent=parent, prior=0.5,
-                                visit_count=2, total_value=2.0)
-    opponent_losing = MCTSNode(position=position, parent=parent, prior=0.5,
-                               visit_count=2, total_value=-2.0)
-    assert opponent_losing.ucb_score(1.5) > opponent_winning.ucb_score(1.5)
+    parent = MCTSNode(position=position)
+    parent.N = 4
+    parent.expand(np.array([0, 1]), np.array([0.5, 0.5]))
+    opponent_winning, opponent_losing = 0, 1  # child slots
+    parent.child_N[:] = 2
+    parent.child_W[opponent_winning] = 2.0
+    parent.child_W[opponent_losing] = -2.0
+    scores = parent.child_scores(1.5)
+    assert scores[opponent_losing] > scores[opponent_winning]
     # Virtual loss makes an in-flight child strictly less attractive.
-    before = opponent_losing.ucb_score(1.5)
-    opponent_losing.virtual_loss = 1
-    assert opponent_losing.ucb_score(1.5) < before
+    before = scores[opponent_losing]
+    parent.child_vl[opponent_losing] = 1
+    assert parent.child_scores(1.5)[opponent_losing] < before
 
 
 # ------------------------------------------------------- concurrent evaluation
